@@ -38,7 +38,6 @@ from .encoder import (
     DualEncoderModel,
     EncoderConfig,
     MentionVector,
-    TokenEncoding,
     cosine,
 )
 from .evaluation import (
@@ -48,7 +47,6 @@ from .evaluation import (
     EvalReport,
     PipelineDataset,
     chance_baseline,
-    data_scale_sweep,
     micro_prf,
     most_popular_baseline,
     run_ablation,
@@ -63,7 +61,6 @@ from .inference import (
     counter_report,
     extract,
     score_mention,
-    simulate_joint_baseline,
     threshold_sweep,
 )
 from .training import (
@@ -81,9 +78,6 @@ from .warming import (
     StaticEmbedder,
     WarmingPlan,
     build_warming_subset,
-    embed_definition_static,
-    make_static_embedder,
-    retrieve_nearest_definition,
     warm,
     warm_with_gold,
 )

@@ -101,9 +101,6 @@ class AlignmentCorpus:
     def __len__(self) -> int:
         return len(self.instances)
 
-    def instances_for(self, definition_id: str) -> tuple[AlignmentInstance, ...]:
-        return tuple(i for i in self.instances if i.definition_id == definition_id)
-
     def all_words(self) -> Iterator[str]:
         """Every word occurrence in the corpus text (for tokenizer fitting).
 

@@ -1,6 +1,9 @@
 """Span-level micro precision/recall/F1, naive baselines, the end-to-end
-pipeline helper, ablation and data-scale studies, and the inference speed
-benchmark.
+pipeline helper, the ablation study, and the inference speed benchmark.
+
+The speed benchmark batches both of its sides the same way: disjoint
+extraction and the joint pair-wise stand-in both pool through
+:meth:`~defex.encoder.DualEncoderModel.encode_pooled`.
 
 Two scoring modes: ``identification`` matches predictions to gold on the
 span key alone; ``identification+classification`` also requires the type
@@ -25,10 +28,9 @@ from .corpus import (
     PredictionSet,
     SpanKey,
     all_candidate_keys,
-    subsample_per_definition,
     validate_against_ontology,
 )
-from .encoder import CONTEXT, DualEncoderModel, EncoderConfig, cosine
+from .encoder import CONTEXT, DualEncoderModel, EncoderConfig, sub_token_range
 from .errors import ArgumentError, ValidationError
 from .inference import (
     CallCounter,
@@ -183,7 +185,7 @@ def run_pipeline(dataset: PipelineDataset, encoder_config: EncoderConfig,
                  train_config: TrainConfig, warm_config: WarmConfig | None = None,
                  retrieval_config: RetrievalConfig | None = None,
                  inference_config: InferenceConfig | None = None,
-                 seed: int | None = None, subsample_k: int | None = None,
+                 seed: int | None = None,
                  pretrained: DualEncoderModel | None = None) -> PipelineResult:
     """Pretrain (or reuse), optionally warm, then extract and score.
 
@@ -191,8 +193,6 @@ def run_pipeline(dataset: PipelineDataset, encoder_config: EncoderConfig,
     ablation runs can share everything else.
     """
     corpus = dataset.corpus
-    if subsample_k is not None:
-        corpus = subsample_per_definition(corpus, subsample_k, seed if seed is not None else 0)
     if seed is not None:
         train_config = replace(train_config, seed=seed)
         if warm_config is not None:
@@ -341,32 +341,6 @@ def run_ablation(spec: AblationSpec, dataset: PipelineDataset) -> AblationTable:
 
 
 # ---------------------------------------------------------------------------
-# data-scale sweep
-# ---------------------------------------------------------------------------
-
-
-def data_scale_sweep(dataset: PipelineDataset, ks: Sequence[int],
-                     encoder_config: EncoderConfig, train_config: TrainConfig,
-                     warm_config: WarmConfig | None,
-                     retrieval_config: RetrievalConfig | None,
-                     inference_config: InferenceConfig | None,
-                     seeds: Sequence[int] = (0, 1, 2)) -> list[dict]:
-    """Classification F1 as a function of the per-definition instance cap;
-    emitted as a two-column series (k, median F1) with per-seed detail."""
-    series = []
-    for k in ks:
-        f1s = []
-        for seed in seeds:
-            result = run_pipeline(
-                dataset, encoder_config, train_config, warm_config,
-                retrieval_config, inference_config, seed=seed, subsample_k=int(k),
-            )
-            f1s.append(result.classification.f1)
-        series.append({"k": int(k), "f1": statistics.median(f1s), "per_seed": tuple(f1s)})
-    return series
-
-
-# ---------------------------------------------------------------------------
 # inference speed benchmark
 # ---------------------------------------------------------------------------
 
@@ -400,34 +374,40 @@ class SpeedReport:
 
 def _joint_scoring_pass(model: DualEncoderModel, ontology: EventOntology,
                         documents: Sequence[Document]) -> int:
-    """A joint scorer stand-in: one context-encoder forward per
-    (candidate, type) pair over the concatenated sentence and definition."""
-    calls = 0
+    """A joint scorer stand-in: one context-encoder pass per (candidate,
+    type) pair over the concatenated sentence and definition, pooling the
+    mention and the definition part and comparing them.  Returns the pair
+    count."""
+    definitions = [model.tokenizer.encode_words(d)[0] for _, d in ontology.types]
+    pairs = 0
     for doc in documents:
+        seqs, ranges = [], []
         for sent_idx, start, end in doc.candidates:
-            sentence = doc.sentences[sent_idx]
-            for _, definition in ontology.types:
-                joined = tuple(sentence) + tuple(definition)
-                encoding = model.encode_tokens(CONTEXT, joined)
-                mention = encoding.vectors[
-                    encoding.word_spans[start][0] : encoding.word_spans[end][1] + 1
-                ].mean(axis=0)
-                def_lo = encoding.word_spans[len(sentence)][0]
-                definition_part = encoding.vectors[def_lo:].mean(axis=0)
-                cosine(mention, definition_part)
-                calls += 1
-    return calls
+            ids, word_spans = model.tokenizer.encode_words(doc.sentences[sent_idx])
+            lo, hi = sub_token_range(word_spans, start, end)
+            for definition in definitions:
+                row = len(seqs)
+                seqs.append(ids + definition)
+                ranges += [(row, lo, hi), (row, len(ids), len(ids) + len(definition) - 1)]
+        pooled, _ = model.encode_pooled(CONTEXT, seqs, ranges)
+        mentions, definition_parts = pooled[0::2], pooled[1::2]
+        # the pair cosines a joint scorer would threshold, computed for their cost
+        np.einsum("nd,nd->n", mentions, definition_parts) / (
+            np.linalg.norm(mentions, axis=1) * np.linalg.norm(definition_parts, axis=1)
+        )
+        pairs += len(seqs)
+    return pairs
 
 
 def speed_benchmark(model: DualEncoderModel, ontology: EventOntology,
                     documents: Sequence[Document], repetitions: int = 3) -> SpeedReport:
     """Median wall time of disjoint extraction versus simulated pair-wise
-    joint scoring on the same encoder, sequence-at-a-time.  One warm-up pass
-    of each flavor runs before timing."""
+    joint scoring on the same encoder, both in the same length-sorted
+    batches.  One warm-up pass of each flavor runs before timing."""
     if repetitions < 3:
         raise ArgumentError("need at least 3 repetitions for a stable median")
     n_candidates = sum(len(doc.candidates) for doc in documents)
-    config = InferenceConfig(threshold=0.0 + 1e-9, batch_size=1)
+    config = InferenceConfig(threshold=0.0 + 1e-9)
 
     def disjoint_pass():
         counter = CallCounter()

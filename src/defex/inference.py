@@ -5,6 +5,12 @@ candidate mention is then scored against all of them by cosine similarity
 in vector space, so a corpus of N candidates and T types costs N + T
 encoder calls instead of the N * T a joint scorer needs.  Call counters
 make that claim checkable.
+
+Extraction is a score step, then a threshold step.  :func:`score_candidates`
+encodes each candidate sentence once and returns the candidates x types
+cosine matrix, raising on any non-finite score; :func:`select_predictions`
+keeps the candidates whose best score exceeds a threshold.  A threshold
+sweep therefore scores the corpus once.
 """
 
 from __future__ import annotations
@@ -16,13 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, EventOntology, PredictionRecord, PredictionSet
-from .encoder import CONTEXT, DEFINITION, DualEncoderModel
+from .corpus import Document, EventOntology, PredictionRecord, PredictionSet, SpanKey
+from .encoder import CONTEXT, DEFINITION, DualEncoderModel, sub_token_range
 from .errors import (
     ArgumentError,
     DegenerateVectorError,
     FingerprintError,
     InputNotFoundError,
+    NumericalError,
     ValidationError,
 )
 
@@ -32,13 +39,10 @@ INDEX_FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class InferenceConfig:
     threshold: float = 0.7
-    batch_size: int = 16
 
     def __post_init__(self):
         if not (-1.0 < self.threshold < 1.0):
             raise ArgumentError("threshold must lie strictly inside (-1, 1)")
-        if self.batch_size < 1:
-            raise ArgumentError("batch_size must be at least 1")
 
 
 @dataclass
@@ -113,10 +117,8 @@ def build_definition_index(model: DualEncoderModel, ontology: EventOntology,
     """Encode every target definition exactly once, in ontology order."""
     if len(ontology) == 0:
         raise ArgumentError("cannot index an empty ontology")
-    vectors = np.stack(
-        [model.encode_definition(definition, counter=counter).values
-         for _, definition in ontology.types]
-    )
+    seqs = [model.tokenizer.encode_words(definition)[0] for _, definition in ontology.types]
+    vectors, _ = model.encode_pooled(DEFINITION, seqs, counter=counter)
     return DefinitionIndex(ontology, vectors, model.fingerprint())
 
 
@@ -127,11 +129,15 @@ def _require_fresh(model: DualEncoderModel, index: DefinitionIndex) -> None:
         )
 
 
-def _scores_against(index: DefinitionIndex, mention: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(mention)
-    if norm == 0.0:
+def _cosines(index: DefinitionIndex, mentions: np.ndarray) -> np.ndarray:
+    """(n, T) cosines of n mention vectors against the index."""
+    norms = np.linalg.norm(mentions, axis=1)
+    if np.any(norms == 0.0):
         raise DegenerateVectorError("mention pooled to a zero vector")
-    return (index.vectors @ mention) / (index._norms * norm)
+    scores = (mentions @ index.vectors.T) / (norms[:, None] * index._norms)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("non-finite cosine: the model or the index holds NaN or inf")
+    return scores
 
 
 def score_mention(model: DualEncoderModel, index: DefinitionIndex,
@@ -141,109 +147,84 @@ def score_mention(model: DualEncoderModel, index: DefinitionIndex,
     ontology order."""
     _require_fresh(model, index)
     mention = model.mention_vector(sentence, span, counter=counter)
-    sims = _scores_against(index, mention.values)
+    sims = _cosines(index, mention.values[None, :])[0]
     return [(name, float(s)) for name, s in zip(index.ontology.names, sims)]
 
 
-def extract(model: DualEncoderModel, index: DefinitionIndex,
-            documents: Sequence[Document], config: InferenceConfig,
-            counter: CallCounter | None = None) -> tuple[PredictionSet, CallCounter]:
-    """Thresholded extraction over all candidate spans.
-
-    Each sentence is contextualized once and shared by its candidates.  A
-    candidate is emitted iff its best cosine strictly exceeds the threshold;
-    the label is the argmax type (ties to the smallest ontology index).
-    """
+def score_candidates(model: DualEncoderModel, index: DefinitionIndex,
+                     documents: Sequence[Document], counter: CallCounter | None = None
+                     ) -> tuple[list[SpanKey], np.ndarray]:
+    """The score step: the key of every candidate and its (n_candidates, T)
+    cosines against the index.  Each sentence with candidates is
+    contextualized once and shared by its candidates.  Candidates run in
+    extraction order: documents as given, sentences ascending, candidates as
+    listed."""
     _require_fresh(model, index)
-    counter = counter if counter is not None else CallCounter()
-    names = index.ontology.names
-    records = []
+    keys, seqs, ranges = [], [], []
     for doc in documents:
         by_sentence: dict[int, list[tuple[int, int]]] = {}
         for sent_idx, start, end in doc.candidates:
             by_sentence.setdefault(sent_idx, []).append((start, end))
         for sent_idx in sorted(by_sentence):
-            encoding = model.encode_tokens(CONTEXT, doc.sentences[sent_idx], counter=counter)
+            ids, word_spans = model.tokenizer.encode_words(doc.sentences[sent_idx])
             for start, end in by_sentence[sent_idx]:
-                pooled = model.pool_mention(encoding, (start, end))
-                sims = _scores_against(index, pooled.values)
-                best = int(np.argmax(sims))
-                score = float(sims[best])
-                if score > config.threshold:
-                    records.append(
-                        PredictionRecord(doc.doc_id, sent_idx, start, end, names[best], score)
-                    )
-    return PredictionSet(tuple(records)), counter
+                keys.append((doc.doc_id, sent_idx, start, end))
+                ranges.append((len(seqs), *sub_token_range(word_spans, start, end)))
+            seqs.append(ids)
+    mentions, _ = model.encode_pooled(CONTEXT, seqs, ranges, counter=counter)
+    return keys, _cosines(index, mentions)
+
+
+def select_predictions(keys: Sequence[SpanKey], scores: np.ndarray, names: Sequence[str],
+                       threshold: float) -> PredictionSet:
+    """The threshold step: a candidate is emitted iff its best cosine
+    strictly exceeds the threshold; the label is the argmax type (ties to
+    the smallest ontology index)."""
+    best = np.argmax(scores, axis=1)
+    top = scores[np.arange(len(best)), best]
+    return PredictionSet(tuple(
+        PredictionRecord(*key, names[b], float(score))
+        for key, b, score in zip(keys, best, top) if score > threshold
+    ))
+
+
+def extract(model: DualEncoderModel, index: DefinitionIndex,
+            documents: Sequence[Document], config: InferenceConfig,
+            counter: CallCounter | None = None) -> tuple[PredictionSet, CallCounter]:
+    """Thresholded extraction over all candidate spans: the score step, then
+    the threshold step."""
+    counter = counter if counter is not None else CallCounter()
+    keys, scores = score_candidates(model, index, documents, counter=counter)
+    return select_predictions(keys, scores, index.ontology.names, config.threshold), counter
 
 
 def threshold_sweep(model: DualEncoderModel, index: DefinitionIndex,
-                    documents: Sequence[Document], thresholds: Sequence[float],
-                    batch_size: int = 16) -> dict[float, PredictionSet]:
-    """Extraction at several thresholds on one fixed model/index."""
-    out = {}
-    for t in thresholds:
-        preds, _ = extract(model, index, documents, InferenceConfig(threshold=t, batch_size=batch_size))
-        out[float(t)] = preds
-    return out
-
-
-@dataclass(frozen=True)
-class JointSimulation:
-    """Arithmetic comparison of joint pair-wise scoring against disjoint
-    encoding, under a constant per-call cost."""
-
-    n_candidates: int
-    n_types: int
-    joint_pair_count: int
-    disjoint_call_count: int
-    invocation_ratio: float
-    joint_seconds: float
-    disjoint_seconds: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_candidates": self.n_candidates,
-            "n_types": self.n_types,
-            "joint_pair_count": self.joint_pair_count,
-            "disjoint_call_count": self.disjoint_call_count,
-            "invocation_ratio": self.invocation_ratio,
-            "joint_seconds": self.joint_seconds,
-            "disjoint_seconds": self.disjoint_seconds,
-        }
-
-
-def simulate_joint_baseline(cost_per_call: float, n_candidates: int,
-                            n_types: int) -> JointSimulation:
-    """Model a joint scorer that must run one forward per (mention, type)
-    pair versus the disjoint design's one call per mention plus one per
-    type."""
-    if n_candidates < 1 or n_types < 1:
-        raise ArgumentError("need at least one candidate and one type")
-    if cost_per_call < 0:
-        raise ArgumentError("cost_per_call must be non-negative")
-    joint = n_candidates * n_types
-    disjoint = n_candidates + n_types
-    return JointSimulation(
-        n_candidates=n_candidates,
-        n_types=n_types,
-        joint_pair_count=joint,
-        disjoint_call_count=disjoint,
-        invocation_ratio=joint / disjoint,
-        joint_seconds=cost_per_call * joint,
-        disjoint_seconds=cost_per_call * disjoint,
-    )
+                    documents: Sequence[Document],
+                    thresholds: Sequence[float]) -> dict[float, PredictionSet]:
+    """Extraction at several thresholds on one fixed model/index, from one
+    score step."""
+    configs = [InferenceConfig(threshold=t) for t in thresholds]
+    keys, scores = score_candidates(model, index, documents)
+    return {
+        float(c.threshold): select_predictions(keys, scores, index.ontology.names, c.threshold)
+        for c in configs
+    }
 
 
 def counter_report(counter: CallCounter, n_candidates: int, n_types: int) -> dict:
-    """Structured summary of one extraction run next to the joint-scoring
-    arithmetic."""
-    sim = simulate_joint_baseline(0.0, n_candidates, n_types)
+    """One extraction run's encoder calls next to the joint-scoring
+    arithmetic: a joint scorer runs one forward per (candidate, type) pair,
+    the disjoint design one per candidate plus one per type."""
+    if n_candidates < 1 or n_types < 1:
+        raise ArgumentError("need at least one candidate and one type")
+    joint = n_candidates * n_types
+    disjoint = n_candidates + n_types
     return {
         "n_candidates": n_candidates,
         "n_types": n_types,
         "context_encoder_calls": counter.context_encoder_calls,
         "definition_encoder_calls": counter.definition_encoder_calls,
-        "joint_pair_count": sim.joint_pair_count,
-        "disjoint_call_count": sim.disjoint_call_count,
-        "invocation_ratio": sim.invocation_ratio,
+        "joint_pair_count": joint,
+        "disjoint_call_count": disjoint,
+        "invocation_ratio": joint / disjoint,
     }

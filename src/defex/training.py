@@ -17,13 +17,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import AlignmentCorpus, AlignmentInstance, Tokens
-from .encoder import CONTEXT, DEFINITION, DualEncoderModel, cosine
+from .encoder import CONTEXT, DEFINITION, DualEncoderModel, cosine, sub_token_range
 from .errors import (
     ArgumentError,
     ConfigurationError,
     DegenerateVectorError,
     NumericalError,
-    TruncationError,
 )
 from .nn import Adam
 
@@ -155,47 +154,27 @@ def prepare_batch(model: DualEncoderModel, items: Sequence[BatchItem]) -> Prepar
     n_negatives = len(items[0][1])
     if n_negatives < 1:
         raise ArgumentError("each batch item needs at least one negative")
-    max_len = model.config.max_sequence_length
     ctx_seqs, span_ranges, def_seqs = [], [], []
     for inst, negatives in items:
         if len(negatives) != n_negatives:
             raise ArgumentError("all batch items must carry the same negative count")
         sub_ids, spans = model.tokenizer.encode_words(inst.sentence)
-        if len(sub_ids) > max_len:
-            raise TruncationError(
-                f"sentence expands to {len(sub_ids)} sub-tokens (max {max_len})"
-            )
-        lo = spans[inst.start][0]
-        hi = spans[inst.end][1]
         ctx_seqs.append(sub_ids)
-        span_ranges.append((lo, hi))
+        span_ranges.append(sub_token_range(spans, inst.start, inst.end))
         for tokens in [inst.definition] + [tokens for _, tokens in negatives]:
             ids, _ = model.tokenizer.encode_words(tokens)
-            if len(ids) > max_len:
-                raise TruncationError(
-                    f"definition expands to {len(ids)} sub-tokens (max {max_len})"
-                )
             def_seqs.append(ids)
     return PreparedBatch(ctx_seqs, span_ranges, def_seqs, n_negatives)
 
 
 def _batch_vectors(model: DualEncoderModel, batch: PreparedBatch, keep_caches: bool):
-    """Anchors and definition vectors for a prepared batch, plus everything
-    needed to push gradients back."""
-    states_c, mask_c, cache_c = model.encode_batch(CONTEXT, batch.ctx_seqs)
-    states_d, mask_d, cache_d = model.encode_batch(DEFINITION, batch.def_seqs)
-    b = batch.size
-    span_mask = np.zeros_like(mask_c)
-    for i, (lo, hi) in enumerate(batch.span_ranges):
-        span_mask[i, lo : hi + 1] = 1.0
-    counts_c = span_mask.sum(axis=1)
-    anchors = (span_mask[:, :, None] * states_c).sum(axis=1) / counts_c[:, None]
-    transformed, head_cache = model.ffn_head.forward(states_d)
-    counts_d = mask_d.sum(axis=1)
-    defvecs = (mask_d[:, :, None] * transformed).sum(axis=1) / counts_d[:, None]
-    defvecs = defvecs.reshape(b, 1 + batch.n_negatives, -1)
-    caches = (cache_c, cache_d, head_cache, span_mask, counts_c, mask_d, counts_d) if keep_caches else None
-    return anchors, defvecs, caches
+    """Anchors (B, dim) and definition vectors (B, 1 + negatives, dim) for a
+    prepared batch, plus the two sides' backward functions."""
+    ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
+    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=keep_caches)
+    defvecs, back_d = model.encode_pooled(DEFINITION, batch.def_seqs, keep_caches=keep_caches)
+    defvecs = defvecs.reshape(batch.size, 1 + batch.n_negatives, -1)
+    return anchors, defvecs, (back_c, back_d)
 
 
 def batch_loss(model: DualEncoderModel, batch: PreparedBatch, margin: float,
@@ -235,8 +214,7 @@ def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: fl
     Returns ``(loss, grads, diagnostics)`` where ``grads`` is keyed like
     ``model.parameters()``.
     """
-    anchors, defvecs, caches = _batch_vectors(model, batch, keep_caches=True)
-    cache_c, cache_d, head_cache, span_mask, counts_c, mask_d, counts_d = caches
+    anchors, defvecs, (back_c, back_d) = _batch_vectors(model, batch, keep_caches=True)
     loss, active, geometry, diag = _hinge_terms(anchors, defvecs, margin, loss_scale)
     positives, negatives, norm_a, norm_p, norm_n, cos_pos, cos_neg = geometry
     b, k = cos_neg.shape
@@ -261,18 +239,8 @@ def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: fl
     )
 
     d_defvecs = np.concatenate([dpositives[:, None, :], dnegatives], axis=1)
-    d_defvecs = d_defvecs.reshape(-1, d_defvecs.shape[-1])
-    d_transformed = mask_d[:, :, None] * (d_defvecs / counts_d[:, None])[:, None, :]
-    d_states_d, head_grads = model.ffn_head.backward(d_transformed, head_cache)
-    d_states_c = span_mask[:, :, None] * (danchors / counts_c[:, None])[:, None, :]
-
-    grads: dict[str, np.ndarray] = {}
-    for name, g in model.context_encoder.backward(d_states_c, cache_c).items():
-        grads[f"ctx.{name}"] = g
-    for name, g in model.definition_encoder.backward(d_states_d, cache_d).items():
-        grads[f"defn.{name}"] = g
-    for name, g in head_grads.items():
-        grads[f"head.{name}"] = g
+    grads = back_c(danchors)
+    grads.update(back_d(d_defvecs.reshape(-1, d_defvecs.shape[-1])))
     return loss, grads, diag
 
 

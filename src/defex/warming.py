@@ -22,7 +22,7 @@ from .corpus import (
     GoldMentionSet,
     Tokens,
 )
-from .encoder import CONTEXT, DEFINITION, DualEncoderModel, TokenEncoder, cosine
+from .encoder import CONTEXT, DEFINITION, DualEncoderModel, IdentityHead, cosine
 from .errors import ArgumentError, ConfigurationError, ValidationError
 from .training import (
     NegativeSampler,
@@ -51,54 +51,33 @@ class RetrievalConfig:
 
 
 class StaticEmbedder:
-    """A frozen snapshot of one encoder used as a plain sentence embedder:
-    mean of the per-sub-token states, no definition head."""
+    """A frozen snapshot of the model used as a plain sentence embedder on
+    one side: mean of the per-sub-token states, no definition head."""
 
     def __init__(self, model: DualEncoderModel, side: str = DEFINITION):
-        encoder = model.definition_encoder if side == DEFINITION else model.context_encoder
         if side not in (DEFINITION, CONTEXT):
             raise ArgumentError(f"unknown encoder side {side!r}")
         self.side = side
-        self._encoder = encoder.copy()
-        self._tokenizer = model.tokenizer
+        self._model = model.copy()
+        self._model.ffn_head = IdentityHead()
 
     def embed(self, tokens: Sequence[str]) -> np.ndarray:
-        if not tokens:
-            raise ArgumentError("cannot embed an empty definition")
-        sub_ids, _ = self._tokenizer.encode_words(tokens)
-        ids = np.asarray([sub_ids], dtype=np.int64)
-        mask = np.ones_like(ids, dtype=np.float64)
-        states, _ = self._encoder.forward(ids, mask)
-        return states[0].mean(axis=0)
+        return self.embed_all([tokens])[0]
+
+    def embed_all(self, token_sequences: Sequence[Sequence[str]]) -> np.ndarray:
+        """One row per token sequence, encoded in batches."""
+        seqs = [self._model.tokenizer.encode_words(tokens)[0] for tokens in token_sequences]
+        vectors, _ = self._model.encode_pooled(self.side, seqs)
+        return vectors
 
 
-def make_static_embedder(model: DualEncoderModel, config: RetrievalConfig) -> StaticEmbedder:
-    return StaticEmbedder(model, config.static_embedder)
-
-
-def embed_definition_static(embedder: StaticEmbedder, definition: Sequence[str]) -> np.ndarray:
-    """Average per-token vector of a definition under the frozen embedder."""
-    return embedder.embed(definition)
-
-
-def _ranked_similarities(embedder: StaticEmbedder, target_definition: Sequence[str],
-                         definition_vectors: Mapping[str, np.ndarray]):
-    target = embedder.embed(target_definition)
+def rank_by_cosine(target: np.ndarray,
+                   definition_vectors: Mapping[str, np.ndarray]) -> list[tuple[str, float]]:
+    """Inventory ids with their cosine to ``target``, best first; ties break
+    toward the lexicographically smallest definition_id."""
     sims = [(definition_id, cosine(target, vec)) for definition_id, vec in definition_vectors.items()]
     sims.sort(key=lambda pair: (-pair[1], pair[0]))
     return sims
-
-
-def retrieve_nearest_definition(embedder: StaticEmbedder, target_definition: Sequence[str],
-                                corpus_definitions: Mapping[str, Tokens]) -> tuple[str, float]:
-    """Exhaustive-scan argmax of cosine similarity between the target
-    definition and the inventory; ties break toward the lexicographically
-    smallest definition_id."""
-    if not corpus_definitions:
-        raise ArgumentError("definition inventory is empty")
-    vectors = {did: embedder.embed(tokens) for did, tokens in corpus_definitions.items()}
-    ranked = _ranked_similarities(embedder, target_definition, vectors)
-    return ranked[0]
 
 
 @dataclass(frozen=True)
@@ -130,13 +109,13 @@ def build_warming_subset(model: DualEncoderModel, ontology: EventOntology,
     and keep exactly the instances aligned to the retrieved set."""
     if not corpus.definitions:
         raise ConfigurationError("alignment corpus has an empty definition inventory")
-    embedder = make_static_embedder(model, config)
-    vectors = {did: embedder.embed(tokens) for did, tokens in corpus.definitions.items()}
+    embedder = StaticEmbedder(model, config.static_embedder)
+    vectors = dict(zip(corpus.definitions, embedder.embed_all(list(corpus.definitions.values()))))
+    targets = embedder.embed_all([definition for _, definition in ontology.types])
     per_type: dict[str, tuple[tuple[str, float], ...]] = {}
     retrieved: set[str] = set()
-    for name, definition in ontology.types:
-        ranked = _ranked_similarities(embedder, definition, vectors)
-        hits = tuple(ranked[: config.retrieved_count])
+    for (name, _), target in zip(ontology.types, targets):
+        hits = tuple(rank_by_cosine(target, vectors)[: config.retrieved_count])
         per_type[name] = hits
         retrieved.update(did for did, _ in hits)
     if not retrieved:

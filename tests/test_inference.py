@@ -2,10 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defex.corpus import Document, EventOntology
-from defex.encoder import CONTEXT, DEFINITION
-from defex.errors import ArgumentError, DegenerateVectorError, FingerprintError, ValidationError
+from defex.encoder import CONTEXT, DEFINITION, cosine
+from defex.errors import (
+    ArgumentError,
+    DegenerateVectorError,
+    FingerprintError,
+    NumericalError,
+    ValidationError,
+)
 from defex.inference import (
     CallCounter,
     DefinitionIndex,
@@ -13,8 +21,8 @@ from defex.inference import (
     build_definition_index,
     counter_report,
     extract,
+    score_candidates,
     score_mention,
-    simulate_joint_baseline,
     threshold_sweep,
 )
 
@@ -160,12 +168,14 @@ class TestExtract:
         _, ontology, docs, _ = tiny_world
         index = build_definition_index(tiny_model, ontology)
         doc = docs[0]
-        sent_idx, start, end = doc.candidates[0]
-        best = max(s for _, s in score_mention(tiny_model, index, doc.sentences[sent_idx], (start, end)))
+        # the threshold step compares the score step's own scores; a batched
+        # score may differ from score_mention's in the last bits
+        keys, scores = score_candidates(tiny_model, index, (doc,))
+        key = keys[0]
+        best = float(scores[0].max())
         if not (-1.0 < best < 1.0):
             pytest.skip("degenerate best score")
         preds, _ = extract(tiny_model, index, (doc,), InferenceConfig(threshold=best))
-        key = (doc.doc_id, sent_idx, start, end)
         assert key not in preds.keys()
 
     def test_counter_invariants(self, tiny_model, tiny_world):
@@ -223,29 +233,119 @@ class TestExtract:
             assert sweep[high].typed_keys() <= sweep[low].typed_keys()
 
 
+def reference_extract(model, ontology, documents, threshold):
+    """Per-candidate extraction: one ``mention_vector`` per candidate and
+    ``cosine`` against each ``encode_definition``."""
+    definitions = [model.encode_definition(d).values for _, d in ontology.types]
+    records = []
+    for doc in documents:
+        for sent_idx in sorted({c[0] for c in doc.candidates}):
+            for s, start, end in doc.candidates:
+                if s != sent_idx:
+                    continue
+                mention = model.mention_vector(doc.sentences[s], (start, end))
+                sims = [cosine(mention, d) for d in definitions]
+                best = int(np.argmax(sims))
+                if sims[best] > threshold:
+                    records.append((doc.doc_id, s, start, end, ontology.names[best], sims[best]))
+    return sorted(records)  # a PredictionSet keeps its records sorted
+
+
+def relabelled(docs, picks):
+    """The picked documents in the picked order, each copy under its own id."""
+    return tuple(
+        Document(f"{docs[i].doc_id}#{n}", docs[i].sentences, docs[i].candidates)
+        for n, i in enumerate(picks)
+    )
+
+
+def count_context_sequences(monkeypatch, model):
+    seen = []
+    original = model.encode_batch
+
+    def spy(side, id_sequences, *args):
+        if side == CONTEXT:
+            seen.append(len(id_sequences))
+        return original(side, id_sequences, *args)
+
+    monkeypatch.setattr(model, "encode_batch", spy)
+    return seen
+
+
+class TestBatchedExtraction:
+    # tiny_world has 6 documents of 5 candidate sentences each; 18 picks
+    # make 90 sentences, more than one encoder batch
+    @settings(max_examples=12, deadline=None)
+    @given(picks=st.lists(st.integers(0, 5), min_size=1, max_size=24),
+           threshold=st.sampled_from([-0.5, 0.0, 0.2, 0.5]))
+    @example(picks=[5, 0, 3, 1, 4, 2] * 3, threshold=0.0)
+    def test_matches_per_candidate_reference(self, tiny_model, tiny_world, picks, threshold):
+        _, ontology, docs, _ = tiny_world
+        assert len(docs) == 6
+        documents = relabelled(docs, picks)
+        index = build_definition_index(tiny_model, ontology)
+        preds, _ = extract(tiny_model, index, documents, InferenceConfig(threshold=threshold))
+        want = reference_extract(tiny_model, ontology, documents, threshold)
+        got = [(r.doc_id, r.sentence_idx, r.start, r.end, r.type_name, r.score) for r in preds.records]
+        assert [g[:5] for g in got] == [w[:5] for w in want]
+        for g, w in zip(got, want):
+            assert abs(g[5] - w[5]) <= 1e-9
+
+    def test_sweep_scores_once(self, tiny_model, tiny_world, monkeypatch):
+        _, ontology, docs, _ = tiny_world
+        documents = relabelled(docs, list(range(len(docs))) * 3)
+        sentences = sum(len({c[0] for c in doc.candidates}) for doc in documents)
+        index = build_definition_index(tiny_model, ontology)
+        thresholds = [-0.5, 0.0, 0.3, 0.6]
+        separate = {t: extract(tiny_model, index, documents, InferenceConfig(threshold=t))[0]
+                    for t in thresholds}
+        seen = count_context_sequences(monkeypatch, tiny_model)
+        sweep = threshold_sweep(tiny_model, index, documents, thresholds)
+        assert sweep == separate
+        assert sum(seen) == sentences
+
+    def test_non_finite_score_raises(self, tiny_model, tiny_world):
+        _, ontology, docs, _ = tiny_world
+        model = tiny_model.copy()
+        model.context_encoder.params["b0.attn.wq"][0, 0] = np.nan
+        index = build_definition_index(model, ontology)
+        sentence = docs[0].sentences[docs[0].candidates[0][0]]
+        with pytest.raises(NumericalError):
+            extract(model, index, docs, InferenceConfig(threshold=-0.99))
+        with pytest.raises(NumericalError):
+            score_mention(model, index, sentence, docs[0].candidates[0][1:])
+        with pytest.raises(NumericalError):
+            threshold_sweep(model, index, docs, [-0.99, 0.5])
+
+
 class TestJointSimulation:
+    """The joint-vs-disjoint call arithmetic that ``counter_report`` states."""
+
+    @staticmethod
+    def report(n_candidates, n_types):
+        return counter_report(CallCounter(), n_candidates=n_candidates, n_types=n_types)
+
     def test_degenerate_boundary(self):
-        sim = simulate_joint_baseline(1.0, 1, 1)
-        assert sim.joint_pair_count == 1
-        assert sim.disjoint_call_count == 2
-        assert sim.invocation_ratio == pytest.approx(0.5)
+        report = self.report(1, 1)
+        assert report["joint_pair_count"] == 1
+        assert report["disjoint_call_count"] == 2
+        assert report["invocation_ratio"] == pytest.approx(0.5)
 
     def test_reference_scale(self):
-        sim = simulate_joint_baseline(0.01, 1000, 168)
-        assert sim.joint_pair_count == 168_000
-        assert sim.disjoint_call_count == 1168
-        assert sim.invocation_ratio == pytest.approx(168000 / 1168)
-        assert sim.joint_seconds == pytest.approx(1680.0)
+        report = self.report(1000, 168)
+        assert report["joint_pair_count"] == 168_000
+        assert report["disjoint_call_count"] == 1168
+        assert report["invocation_ratio"] == pytest.approx(168000 / 1168)
 
     def test_ratio_monotone_in_types(self):
-        ratios = [simulate_joint_baseline(1.0, 10, t).invocation_ratio for t in range(1, 30)]
+        ratios = [self.report(10, t)["invocation_ratio"] for t in range(1, 30)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_invalid(self):
         with pytest.raises(ArgumentError):
-            simulate_joint_baseline(1.0, 0, 5)
+            self.report(0, 5)
         with pytest.raises(ArgumentError):
-            simulate_joint_baseline(-0.1, 5, 5)
+            self.report(5, 0)
 
     def test_counter_report(self):
         counter = CallCounter(context_encoder_calls=120, definition_encoder_calls=7)

@@ -18,31 +18,27 @@ from defex.warming import (
     RetrievalConfig,
     StaticEmbedder,
     build_warming_subset,
-    embed_definition_static,
     gold_alignment_instances,
-    make_static_embedder,
     mixed_negative_sampler,
-    retrieve_nearest_definition,
+    rank_by_cosine,
     warm,
     warm_with_gold,
 )
 
 
-class PlantedEmbedder:
-    """Duck-typed embedder mapping each definition's first token to a fixed
-    vector; lets retrieval tests plant exact geometries."""
+def nearest(table, defs):
+    """Top hit of the retrieval ranking for the planted vector ``table["t"]``;
+    ``defs`` maps definition ids to keys of ``table``."""
+    vectors = {did: np.asarray(table[key], dtype=float) for did, key in defs.items()}
+    return rank_by_cosine(np.asarray(table["t"], dtype=float), vectors)[0]
 
-    def __init__(self, table, default=None):
-        self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
-        self.default = default
 
-    def embed(self, tokens):
-        key = tokens[0]
-        if key in self.table:
-            return self.table[key]
-        if self.default is not None:
-            return np.asarray(self.default, dtype=float)
-        raise KeyError(key)
+def definition_states(model, tokens):
+    from defex.encoder import DEFINITION
+
+    ids, _ = model.tokenizer.encode_words(tokens)
+    states, _, _ = model.encode_batch(DEFINITION, [ids])
+    return states[0]
 
 
 class TestRetrievalConfig:
@@ -63,14 +59,12 @@ class TestRetrievalConfig:
 class TestStaticEmbedder:
     def test_single_token_is_that_vector(self, tiny_model):
         embedder = StaticEmbedder(tiny_model, "definition")
-        from defex.encoder import DEFINITION
-
-        enc = tiny_model.encode_tokens(DEFINITION, ["word"])
-        got = embed_definition_static(embedder, ["word"])
-        np.testing.assert_allclose(got, enc.vectors.mean(axis=0), atol=1e-12)
+        got = embedder.embed(["word"])
+        np.testing.assert_allclose(got, definition_states(tiny_model, ["word"]).mean(axis=0),
+                                   atol=1e-12)
 
     def test_repeated_call_identical(self, tiny_model):
-        embedder = make_static_embedder(tiny_model, RetrievalConfig())
+        embedder = StaticEmbedder(tiny_model, RetrievalConfig().static_embedder)
         one = embedder.embed(["some", "tokens"])
         two = embedder.embed(["some", "tokens"])
         np.testing.assert_array_equal(one, two)
@@ -80,12 +74,14 @@ class TestStaticEmbedder:
 
         embedder = StaticEmbedder(tiny_model, DEFINITION)
         tokens = ["five", "token", "definition", "about", "things"]
-        enc = tiny_model.encode_tokens(DEFINITION, tokens)
-        oracle = np.zeros(enc.vectors.shape[1])
-        for row in enc.vectors:
+        states = definition_states(tiny_model, tokens)
+        oracle = np.zeros(states.shape[1])
+        for row in states:
             oracle += row
-        oracle /= enc.vectors.shape[0]
+        oracle /= states.shape[0]
         np.testing.assert_allclose(embedder.embed(tokens), oracle, atol=1e-12)
+        batch = embedder.embed_all([["x"], tokens, ["y", "z"]])
+        np.testing.assert_allclose(batch[1], oracle, atol=1e-12)
 
     def test_frozen_snapshot(self, tiny_model):
         model = tiny_model.copy()
@@ -101,24 +97,26 @@ class TestStaticEmbedder:
 
 
 class TestRetrieveNearest:
+    """The ranking ``build_warming_subset`` retrieves by."""
+
     def test_exact_match_wins(self, tiny_model, tiny_world):
         corpus, ontology, _, _ = tiny_world
-        embedder = make_static_embedder(tiny_model, RetrievalConfig())
         name, definition = ontology.types[0]
-        best_id, sim = retrieve_nearest_definition(embedder, definition, corpus.definitions)
+        plan = build_warming_subset(tiny_model, EventOntology(ontology.types[:1]), corpus,
+                                    RetrievalConfig())
+        best_id, sim = plan.per_type[name][0]
         assert best_id == f"def:{name}"
+        assert corpus.definitions[best_id] == definition
         assert sim == pytest.approx(1.0, abs=1e-12)
 
     def test_planted_argmax(self):
-        embedder = PlantedEmbedder({"a": [1.0, 0.0], "b": [0.0, 1.0], "t": [0.9, 0.1]})
-        defs = {"first": ("a",), "second": ("b",)}
-        best_id, _ = retrieve_nearest_definition(embedder, ("t",), defs)
+        table = {"a": [1.0, 0.0], "b": [0.0, 1.0], "t": [0.9, 0.1]}
+        best_id, _ = nearest(table, defs={"first": "a", "second": "b"})
         assert best_id == "first"
 
     def test_tie_breaks_lexicographically(self):
-        embedder = PlantedEmbedder({"a": [1.0, 0.0], "b": [2.0, 0.0], "t": [1.0, 0.0]})
-        defs = {"zzz": ("a",), "aaa": ("b",)}
-        best_id, _ = retrieve_nearest_definition(embedder, ("t",), defs)
+        table = {"a": [1.0, 0.0], "b": [2.0, 0.0], "t": [1.0, 0.0]}
+        best_id, _ = nearest(table, defs={"zzz": "a", "aaa": "b"})
         assert best_id == "aaa"
 
     def test_matches_bruteforce_scan(self):
@@ -127,13 +125,12 @@ class TestRetrieveNearest:
             n = int(rng.integers(2, 30))
             table = {f"w{i}": rng.normal(size=6) for i in range(n)}
             table["t"] = rng.normal(size=6)
-            embedder = PlantedEmbedder(table)
-            defs = {f"id{i:03d}": (f"w{i}",) for i in range(n)}
-            got_id, got_sim = retrieve_nearest_definition(embedder, ("t",), defs)
-            target = embedder.embed(("t",))
+            defs = {f"id{i:03d}": f"w{i}" for i in range(n)}
+            got_id, got_sim = nearest(table, defs=defs)
+            target = table["t"]
             best = None
             for did in sorted(defs):
-                v = embedder.embed(defs[did])
+                v = table[defs[did]]
                 sim = float(np.dot(target, v) / (np.linalg.norm(target) * np.linalg.norm(v)))
                 if best is None or sim > best[1]:
                     best = (did, sim)
@@ -144,15 +141,15 @@ class TestRetrieveNearest:
         rng = np.random.default_rng(3)
         table = {f"w{i}": rng.normal(size=4) for i in range(10)}
         table["t"] = rng.normal(size=4)
-        defs = {f"id{i}": (f"w{i}",) for i in range(10)}
-        base = retrieve_nearest_definition(PlantedEmbedder(table), ("t",), defs)[0]
+        defs = {f"id{i}": f"w{i}" for i in range(10)}
+        base = nearest(table, defs=defs)[0]
         scaled = {k: 7.5 * v for k, v in table.items()}
-        assert retrieve_nearest_definition(PlantedEmbedder(scaled), ("t",), defs)[0] == base
+        assert nearest(scaled, defs=defs)[0] == base
 
-    def test_empty_inventory(self, tiny_model):
-        embedder = make_static_embedder(tiny_model, RetrievalConfig())
-        with pytest.raises(ArgumentError):
-            retrieve_nearest_definition(embedder, ("t",), {})
+    def test_empty_inventory(self, tiny_model, tiny_world):
+        _, ontology, _, _ = tiny_world
+        with pytest.raises(ConfigurationError):
+            build_warming_subset(tiny_model, ontology, AlignmentCorpus((), {}), RetrievalConfig())
 
 
 class TestBuildWarmingSubset:
