@@ -201,7 +201,7 @@ class MentionRecord:
         return (self.doc_id, self.sentence_idx, self.start, self.end)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PredictionRecord:
     """A typed mention span emitted by extraction, with its cosine score."""
 

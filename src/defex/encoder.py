@@ -16,9 +16,12 @@ pass for training.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +33,8 @@ from .errors import (
     ArgumentError,
     DegenerateVectorError,
     InputNotFoundError,
+    NumericalError,
+    ParseError,
     TruncationError,
     ValidationError,
 )
@@ -48,6 +53,13 @@ _PREFIX = {CONTEXT: "ctx.", DEFINITION: "defn."}
 # pretraining epochs took 2.0 s at 16 and 1.8 s at 64.  64 keeps a default
 # training batch (48 definition sequences) in one forward per side.
 ENCODE_BATCH_SIZE = 64
+
+# what np.load and reading its members raise on a file that is no intact
+# .npz archive: zipfile raises NotImplementedError on garbled header flags
+# and OSError(EINVAL) on a seek to a garbled negative offset; a .npy file
+# makes the ``with`` raise TypeError
+_UNREADABLE_ARCHIVE = (EOFError, NotImplementedError, OSError, TypeError, ValueError,
+                       zipfile.BadZipFile, zlib.error)
 
 
 @dataclass(frozen=True)
@@ -167,7 +179,7 @@ class TokenEncoder:
     def forward(self, ids: np.ndarray, mask: np.ndarray, keep_caches: bool = False):
         """ids (B, L) int64, mask (B, L) in {0, 1} -> states (B, L, dim),
         plus the cache :meth:`backward` needs with ``keep_caches`` (else
-        None, so a forward-only pass holds one layer's activations at a
+        None, so a forward-only pass holds one sublayer's activations at a
         time)."""
         length = ids.shape[1]
         if length > self.config.max_sequence_length:
@@ -178,10 +190,9 @@ class TokenEncoder:
         x = self.params["emb"][ids] + self._positions[:length]
         caches = []
         for layer in range(self.config.n_layers):
-            x, cache = nn.block_forward(x, self.params, f"b{layer}", mask, self.config.n_heads)
-            if keep_caches:
-                caches.append(cache)
-            del cache  # else it would live through the next layer's forward
+            x, cache = nn.block_forward(x, self.params, f"b{layer}", mask, self.config.n_heads,
+                                        keep_caches)
+            caches.append(cache)
         out, ln_cache = nn.layer_norm_forward(x, self.params["out_ln.g"], self.params["out_ln.b"])
         return out, (ids, caches, ln_cache) if keep_caches else None
 
@@ -271,6 +282,8 @@ class DualEncoderModel:
         self.context_encoder = context_encoder
         self.definition_encoder = definition_encoder
         self.ffn_head = ffn_head
+        # (header, layout, tensor bytes, hex digest) of the last fingerprint
+        self._hashed = None
 
     # -- construction -------------------------------------------------------
 
@@ -308,15 +321,40 @@ class DualEncoderModel:
         return params
 
     def fingerprint(self) -> str:
-        """Content hash of config, tokenizer, and every parameter tensor."""
-        digest = hashlib.sha256()
-        digest.update(json.dumps(asdict(self.config), sort_keys=True).encode())
-        digest.update(json.dumps(self.tokenizer.to_dict(), sort_keys=True).encode())
-        digest.update(self.ffn_head.kind.encode())
-        for name in sorted(self.parameters()):
+        """Content hash of config, tokenizer, and every parameter tensor:
+        sha256 over the config and tokenizer JSON, the head kind, then each
+        parameter's name and bytes in name order.
+
+        The digest is kept with an exact copy of what it hashed, plus each
+        parameter's dtype and shape.  A later call compares the current
+        state with that copy tensor by tensor and returns the kept digest
+        only if every byte is the same; any difference, an in-place write
+        included, hashes again.  Bytes, not floats, are compared, so ``0.0``
+        -> ``-0.0`` or a changed NaN payload is a new state.
+        """
+        header = b"".join((
+            json.dumps(asdict(self.config), sort_keys=True).encode(),
+            json.dumps(self.tokenizer.to_dict(), sort_keys=True).encode(),
+            self.ffn_head.kind.encode(),
+        ))
+        params = self.parameters()
+        names = sorted(params)
+        layout = [(name, params[name].dtype, params[name].shape) for name in names]
+        if self._hashed is not None:
+            kept_header, kept_layout, kept_bytes, kept_digest = self._hashed
+            if kept_header == header and kept_layout == layout and all(
+                params[name].tobytes() == blob for name, blob in zip(names, kept_bytes)
+            ):
+                return kept_digest
+        self._hashed = None  # drop the old copy before taking the new one
+        blobs = [params[name].tobytes() for name in names]
+        digest = hashlib.sha256(header)
+        for name, blob in zip(names, blobs):
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(self.parameters()[name]).tobytes())
-        return digest.hexdigest()
+            digest.update(blob)
+        hexdigest = digest.hexdigest()
+        self._hashed = (header, layout, blobs, hexdigest)
+        return hexdigest
 
     # -- encoding -----------------------------------------------------------
 
@@ -440,32 +478,89 @@ class DualEncoderModel:
 
     @classmethod
     def load(cls, path) -> "DualEncoderModel":
-        path = Path(path)
-        if not path.exists():
-            raise InputNotFoundError(f"checkpoint not found: {path}")
-        with np.load(path, allow_pickle=False) as archive:
-            try:
-                meta = json.loads(str(archive["meta"]))
-            except KeyError:
-                raise ValidationError(f"{path} is not a model checkpoint") from None
-            version = meta.get("format_version")
-            if version != CHECKPOINT_FORMAT_VERSION:
-                raise ValidationError(
-                    f"checkpoint format version {version!r} does not match "
-                    f"supported version {CHECKPOINT_FORMAT_VERSION}"
-                )
+        """Read a checkpoint written by :meth:`save`.  Its parameters must
+        have exactly the names, shapes and dtype that :meth:`initialize`
+        draws for its config and tokenizer, and finite values."""
+        meta, arrays = load_archive(path, "checkpoint")
+        version = meta.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValidationError(
+                f"checkpoint format version {version!r} does not match "
+                f"supported version {CHECKPOINT_FORMAT_VERSION}"
+            )
+        if "config" not in meta or "tokenizer" not in meta:
+            raise ValidationError(f"{path} is not a model checkpoint: its meta has no config "
+                                  f"or tokenizer")
+        try:
             config = EncoderConfig(**meta["config"])
             tokenizer = tokenizer_from_dict(meta["tokenizer"])
-            params = {
-                name[len("param/"):]: archive[name]
-                for name in archive.files
-                if name.startswith("param/")
-            }
-        ctx = {k[len("ctx."):]: params[k] for k in params if k.startswith("ctx.")}
-        defn = {k[len("defn."):]: params[k] for k in params if k.startswith("defn.")}
-        head_params = {k[len("head."):]: params[k] for k in params if k.startswith("head.")}
-        if meta.get("head_kind") == "identity":
-            head = IdentityHead()
-        else:
-            head = TwoLayerHead(head_params)
-        return cls(config, tokenizer, TokenEncoder(config, ctx), TokenEncoder(config, defn), head)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: malformed checkpoint meta: {exc!r}") from None
+        head_kind = meta.get("head_kind", TwoLayerHead.kind)
+        if head_kind not in (TwoLayerHead.kind, IdentityHead.kind):
+            raise ValidationError(f"{path}: unknown head kind {head_kind!r}")
+        expected = {f"param/{name}": shape
+                    for name, shape in _parameter_shapes(config, len(tokenizer), head_kind).items()}
+        if arrays.keys() != expected.keys():
+            raise ValidationError(
+                f"{path}: checkpoint arrays do not match its config: missing "
+                f"{sorted(expected.keys() - arrays.keys())}, unexpected "
+                f"{sorted(arrays.keys() - expected.keys())}"
+            )
+        for key, shape in expected.items():
+            array = arrays[key]
+            if array.shape != shape or array.dtype != np.float64:
+                raise ValidationError(
+                    f"{path}: {key} is {array.dtype} {array.shape}, expected float64 {shape}"
+                )
+            if not np.all(np.isfinite(array)):
+                raise NumericalError(f"{path}: {key} holds NaN or inf")
+
+        def part(prefix):
+            prefix = f"param/{prefix}"
+            return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+        head = TwoLayerHead(part("head.")) if head_kind == TwoLayerHead.kind else IdentityHead()
+        return cls(config, tokenizer, TokenEncoder(config, part("ctx.")),
+                   TokenEncoder(config, part("defn.")), head)
+
+
+def _parameter_shapes(config: EncoderConfig, vocab_size: int,
+                      head_kind: str) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter :meth:`DualEncoderModel.initialize`
+    draws, keyed like :meth:`DualEncoderModel.parameters`."""
+    rng = np.random.default_rng(0)
+    encoder = TokenEncoder.create(config, vocab_size, rng)
+    shapes = {prefix + name: array.shape
+              for prefix in _PREFIX.values() for name, array in encoder.params.items()}
+    if head_kind == TwoLayerHead.kind:
+        shapes.update({f"head.{name}": array.shape
+                       for name, array in TwoLayerHead.create(config, rng).params.items()})
+    return shapes
+
+
+def load_archive(path, what: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The JSON ``meta`` object and the other arrays of an ``.npz`` archive
+    written with a ``meta`` string, as checkpoints and definition indexes
+    are.  A missing file raises :class:`InputNotFoundError`; a file that is
+    no readable ``.npz``, or whose meta is not a JSON object, raises
+    :class:`ParseError`; an archive without meta, :class:`ValidationError`."""
+    path = Path(path)
+    if not path.exists():
+        raise InputNotFoundError(f"{what} not found: {path}")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except _UNREADABLE_ARCHIVE as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.EINVAL:
+            raise  # an I/O failure, not a malformed file
+        raise ParseError(f"{path} is not a readable .npz {what}: {exc!r}") from None
+    if "meta" not in arrays:
+        raise ValidationError(f"{path} is not a {what}: it has no meta record")
+    try:
+        meta = json.loads(str(arrays.pop("meta")))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {what} meta is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: {what} meta is not a JSON object")
+    return meta, arrays

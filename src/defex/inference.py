@@ -17,18 +17,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Document, EventOntology, PredictionRecord, PredictionSet, SpanKey
-from .encoder import CONTEXT, DEFINITION, DualEncoderModel, sub_token_range
+from .encoder import CONTEXT, DEFINITION, DualEncoderModel, load_archive, sub_token_range
 from .errors import (
     ArgumentError,
     DegenerateVectorError,
     FingerprintError,
-    InputNotFoundError,
     NumericalError,
     ValidationError,
 )
@@ -99,17 +97,23 @@ class DefinitionIndex:
 
     @classmethod
     def load(cls, path) -> "DefinitionIndex":
-        path = Path(path)
-        if not path.exists():
-            raise InputNotFoundError(f"definition index not found: {path}")
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            if meta.get("format_version") != INDEX_FORMAT_VERSION:
-                raise ValidationError("definition index format version mismatch")
+        meta, arrays = load_archive(path, "definition index")
+        if meta.get("format_version") != INDEX_FORMAT_VERSION:
+            raise ValidationError("definition index format version mismatch")
+        if "types" not in meta or "fingerprint" not in meta or arrays.keys() != {"vectors"}:
+            raise ValidationError(f"{path} is not a definition index")
+        try:
             ontology = EventOntology(
                 tuple((t["type_name"], tuple(t["definition"])) for t in meta["types"])
             )
-            return cls(ontology, archive["vectors"], meta["fingerprint"])
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{path}: malformed definition index types: {exc!r}") from None
+        vectors = arrays["vectors"]
+        if vectors.dtype != np.float64:
+            raise ValidationError(f"{path}: index vectors are {vectors.dtype}, expected float64")
+        if not np.all(np.isfinite(vectors)):
+            raise NumericalError(f"{path}: index vectors hold NaN or inf")
+        return cls(ontology, vectors, str(meta["fingerprint"]))
 
 
 def build_definition_index(model: DualEncoderModel, ontology: EventOntology,
@@ -134,7 +138,8 @@ def _cosines(index: DefinitionIndex, mentions: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mentions, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateVectorError("mention pooled to a zero vector")
-    scores = (mentions @ index.vectors.T) / (norms[:, None] * index._norms)
+    scores = mentions @ index.vectors.T
+    scores /= norms[:, None] * index._norms
     if not np.all(np.isfinite(scores)):
         raise NumericalError("non-finite cosine: the model or the index holds NaN or inf")
     return scores

@@ -132,19 +132,24 @@ def attention_backward(dout, cache, prefix):
     return dx_q + dx_k + dx_v, grads
 
 
-def block_forward(x, params, prefix, mask, n_heads):
+def block_forward(x, params, prefix, mask, n_heads, keep_cache=True):
     """Pre-norm transformer block: attention and feed-forward sublayers, each
-    wrapped as ``x + f(layer_norm(x))``."""
+    wrapped as ``x + f(layer_norm(x))``.  Without ``keep_cache`` the cache
+    is None, and the attention sublayer's activations are released before
+    the feed-forward sublayer runs."""
     normed1, ln1_cache = layer_norm_forward(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     attn_out, attn_cache = attention_forward(normed1, params, f"{prefix}.attn", mask, n_heads)
     h = x + attn_out
+    if not keep_cache:
+        normed1 = ln1_cache = attn_out = attn_cache = None
     normed2, ln2_cache = layer_norm_forward(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     f1, f1_cache = linear_forward(normed2, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])
     a1, gelu_cache = gelu_forward(f1)
     f2, f2_cache = linear_forward(a1, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
     out = h + f2
-    cache = (ln1_cache, attn_cache, ln2_cache, f1_cache, gelu_cache, f2_cache)
-    return out, cache
+    if not keep_cache:
+        return out, None
+    return out, (ln1_cache, attn_cache, ln2_cache, f1_cache, gelu_cache, f2_cache)
 
 
 def block_backward(dout, cache, params, prefix):

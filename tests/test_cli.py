@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from defex.cli import main
@@ -263,3 +264,54 @@ class TestConfigHandling:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "synth"]) == 2
+
+
+def _drop_parameter(data):
+    data.pop("param/ctx.b0.attn.wq")
+
+
+def _poison_parameter(data):
+    data["param/ctx.emb"][0, 0] = float("nan")
+
+
+def _garble_meta(data):
+    data["meta"] = np.array("{config")
+
+
+class TestMalformedCheckpoint:
+    """``infer`` on a malformed checkpoint exits with the documented code
+    and a one-line diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("change, code, category", [
+        (_drop_parameter, 1, "validation"),
+        (_poison_parameter, 3, "numerical"),
+        (_garble_meta, 1, "parse"),
+        ("not an archive", 1, "parse"),
+        ("index", 1, "validation"),
+    ])
+    def test_infer_exit_code(self, pipeline_dirs, tmp_path, capsys, rewrite_archive, change,
+                              code, category):
+        _, _, synth_dir, pretrain_dir, _ = pipeline_dirs
+        checkpoint = tmp_path / "checkpoint.npz"
+        if change == "not an archive":
+            checkpoint.write_text("weights\n")
+        elif change == "index":
+            from defex.encoder import DualEncoderModel
+            from defex.inference import build_definition_index
+
+            model = DualEncoderModel.load(pretrain_dir / "checkpoint.npz")
+            onto = load_ontology(synth_dir / "ontology.jsonl")
+            build_definition_index(model, onto).save(checkpoint)
+        else:
+            rewrite_archive(pretrain_dir / "checkpoint.npz", change, checkpoint)
+        config = write_config(tmp_path, paths={
+            "output_dir": str(tmp_path / "runs"),
+            "ontology": str(synth_dir / "ontology.jsonl"),
+            "docs": str(synth_dir / "docs.jsonl"),
+            "checkpoint": str(checkpoint),
+        })
+        capsys.readouterr()
+        assert main(["--config", str(config), "infer"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{category}]: ")
+        assert "Traceback" not in err

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,14 @@ from defex.encoder import (
     IdentityHead,
     cosine,
 )
-from defex.errors import ArgumentError, DegenerateVectorError, TruncationError, ValidationError
+from defex.errors import (
+    ArgumentError,
+    DegenerateVectorError,
+    NumericalError,
+    ParseError,
+    TruncationError,
+    ValidationError,
+)
 from defex.tokenizer import PAD, UNK, SubwordTokenizer
 
 
@@ -354,3 +365,232 @@ class TestCheckpoint:
         before = model.fingerprint()
         model.context_encoder.params["emb"][0, 0] += 1e-9
         assert model.fingerprint() != before
+
+
+def reference_fingerprint(model):
+    """The digest computed from scratch: sha256 over the config JSON, the
+    tokenizer JSON, the head kind, then each parameter's name and bytes in
+    name order."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode())
+    digest.update(json.dumps(model.tokenizer.to_dict(), sort_keys=True).encode())
+    digest.update(model.ffn_head.kind.encode())
+    params = model.parameters()
+    for name in sorted(params):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(params[name]).tobytes())
+    return digest.hexdigest()
+
+
+def float_from_bits(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+PARAM_NAMES = ("ctx.emb", "ctx.b0.attn.wq", "ctx.out_ln.b", "defn.b1.ffn.w2", "head.b1",
+               "head.w2")
+
+
+def param_array(model, name):
+    owner, key = name.split(".", 1)
+    table = {"ctx": model.context_encoder, "defn": model.definition_encoder,
+             "head": model.ffn_head}[owner].params
+    return table, key
+
+
+class TestFingerprintCache:
+    """``fingerprint`` reuses its digest only while every hashed byte is
+    unchanged; each digest equals the from-scratch reference."""
+
+    def assert_changed(self, model, before):
+        after = model.fingerprint()
+        assert after == reference_fingerprint(model)
+        assert after != before
+        return after
+
+    def test_signed_zero_is_a_change(self, tiny_model):
+        model = tiny_model.copy()
+        table, key = param_array(model, "ctx.b0.attn.wq")
+        table[key][1, 2] = 0.0
+        before = model.fingerprint()
+        table[key][1, 2] = -0.0
+        self.assert_changed(model, before)
+
+    def test_nan_payload_is_a_change(self, tiny_model):
+        model = tiny_model.copy()
+        table, key = param_array(model, "head.b1")
+        table[key][0] = float_from_bits(0x7FF8000000000001)
+        before = model.fingerprint()
+        table[key][0] = float_from_bits(0x7FF8000000000002)
+        assert np.isnan(table[key][0])
+        self.assert_changed(model, before)
+
+    def test_replaced_by_equal_copy_keeps_digest(self, tiny_model):
+        model = tiny_model.copy()
+        before = model.fingerprint()
+        table, key = param_array(model, "ctx.emb")
+        table[key] = np.asfortranarray(table[key].copy())
+        assert model.fingerprint() == before == reference_fingerprint(model)
+
+    def test_dtype_change(self, tiny_model):
+        model = tiny_model.copy()
+        before = model.fingerprint()
+        table, key = param_array(model, "defn.b1.ffn.w2")
+        table[key] = table[key].astype(np.float32)
+        self.assert_changed(model, before)
+
+    def test_shape_change(self, tiny_model):
+        model = tiny_model.copy()
+        before = model.fingerprint()
+        table, key = param_array(model, "ctx.emb")
+        table[key] = table[key][:-1]
+        self.assert_changed(model, before)
+        # the same bytes in another shape hash as before, recomputed
+        table[key] = table[key].reshape(-1)
+        assert model.fingerprint() == reference_fingerprint(model)
+
+    def test_other_tokenizer(self, tiny_model):
+        model = tiny_model.copy()
+        before = model.fingerprint()
+        model.tokenizer = SubwordTokenizer([PAD, UNK, "a", "b"])
+        self.assert_changed(model, before)
+
+    def test_unchanged_model_is_not_rehashed(self, tiny_model, monkeypatch):
+        import defex.encoder as encoder_module
+
+        model = tiny_model.copy()
+        first = model.fingerprint()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sha256 called for an unchanged model")
+
+        monkeypatch.setattr(encoder_module.hashlib, "sha256", fail)
+        assert model.fingerprint() == first
+
+    def test_copy_mutation_leaves_original(self, tiny_model):
+        model = tiny_model.copy()
+        original = model.fingerprint()
+        twin = model.copy()
+        assert twin.fingerprint() == original
+        table, key = param_array(twin, "ctx.emb")
+        table[key][0, 0] += 1.0
+        assert twin.fingerprint() != original
+        assert model.fingerprint() == original == reference_fingerprint(model)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(PARAM_NAMES), st.integers(0, 2**31 - 1),
+                  st.one_of(st.integers(0, 2**64 - 1),
+                            st.sampled_from([0x0, 0x8000000000000000, 0x7FF8000000000000,
+                                             0x7FF0000000000001, 0xFFF8000000000000]))),
+        min_size=1, max_size=6,
+    ))
+    def test_in_place_writes(self, tiny_model, writes):
+        model = tiny_model.copy()
+        digest = model.fingerprint()
+        for name, position, bits in writes:
+            table, key = param_array(model, name)
+            flat = table[key].reshape(-1)
+            position %= flat.size
+            old_bytes = flat[position].tobytes()
+            flat[position] = float_from_bits(bits)
+            changed = flat[position].tobytes() != old_bytes
+            new = model.fingerprint()
+            assert new == reference_fingerprint(model)
+            assert (new != digest) == changed
+            digest = new
+
+
+class TestCheckpointValidation:
+    """Every malformed checkpoint fails on load with a DefexError subclass."""
+
+    @pytest.fixture()
+    def saved(self, tiny_model, tmp_path):
+        path = tmp_path / "model.npz"
+        tiny_model.save(path)
+        return path
+
+    def test_missing_parameter(self, saved, rewrite_archive):
+        rewrite_archive(saved, lambda data: data.pop("param/ctx.b0.attn.wq"))
+        with pytest.raises(ValidationError, match=r"missing \['param/ctx.b0.attn.wq'\]"):
+            DualEncoderModel.load(saved)
+
+    def test_unexpected_parameter(self, saved, rewrite_archive):
+        rewrite_archive(saved, lambda data: data.update({"param/ctx.extra": np.ones(3)}))
+        with pytest.raises(ValidationError, match=r"unexpected \['param/ctx.extra'\]"):
+            DualEncoderModel.load(saved)
+
+    def test_misshapen_parameter(self, saved, rewrite_archive):
+        rewrite_archive(saved, lambda data: data.update(
+            {"param/ctx.emb": data["param/ctx.emb"][:, :-1]}))
+        with pytest.raises(ValidationError, match="ctx.emb"):
+            DualEncoderModel.load(saved)
+
+    def test_non_float_parameter(self, saved, rewrite_archive):
+        rewrite_archive(saved, lambda data: data.update(
+            {"param/head.b1": data["param/head.b1"].astype(np.int64)}))
+        with pytest.raises(ValidationError, match="head.b1"):
+            DualEncoderModel.load(saved)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter(self, saved, value, rewrite_archive):
+        def poison(data):
+            data["param/defn.b0.ffn.w1"][3, 1] = value
+
+        rewrite_archive(saved, poison)
+        with pytest.raises(NumericalError, match="defn.b0.ffn.w1"):
+            DualEncoderModel.load(saved)
+
+    def test_index_is_not_a_checkpoint(self, tiny_model, tiny_world, tmp_path):
+        from defex.inference import build_definition_index
+
+        path = tmp_path / "index.npz"
+        build_definition_index(tiny_model, tiny_world[1]).save(path)
+        with pytest.raises(ValidationError, match="not a model checkpoint"):
+            DualEncoderModel.load(path)
+
+    @pytest.mark.parametrize("content", [b"", b"not an archive\n", b"PK\x03\x04broken"])
+    def test_not_an_npz_file(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            DualEncoderModel.load(path)
+
+    def test_npy_file(self, tmp_path):
+        path = tmp_path / "model.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(ParseError):
+            DualEncoderModel.load(path)
+
+    @pytest.mark.parametrize("meta", ["{not json", "[1, 2]"])
+    def test_meta_not_a_json_object(self, saved, meta, rewrite_archive):
+        rewrite_archive(saved, lambda data: data.update({"meta": np.array(meta)}))
+        with pytest.raises(ParseError, match="meta"):
+            DualEncoderModel.load(saved)
+
+    @pytest.mark.parametrize("change", [
+        lambda meta: meta["config"].update(embedding_dim="wide"),
+        lambda meta: meta["config"].update(unknown_knob=1),
+        lambda meta: meta["config"].update(n_heads=3),
+        lambda meta: meta.update(tokenizer={"kind": "subword"}),
+        lambda meta: meta.update(tokenizer=["pieces"]),
+        lambda meta: meta.update(head_kind="three_layer"),
+    ], ids=["dim-type", "unknown-key", "heads", "no-pieces", "tokenizer-list", "head-kind"])
+    def test_malformed_meta(self, saved, change, rewrite_archive):
+        def edit(data):
+            meta = json.loads(str(data["meta"]))
+            change(meta)
+            data["meta"] = np.array(json.dumps(meta))
+
+        rewrite_archive(saved, edit)
+        with pytest.raises(ValidationError):
+            DualEncoderModel.load(saved)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_file(self, tiny_model, tmp_path_factory, share):
+        path = tmp_path_factory.mktemp("truncated") / "model.npz"
+        tiny_model.save(path)
+        content = path.read_bytes()
+        path.write_bytes(content[: int(share * len(content))])
+        with pytest.raises(ParseError):
+            DualEncoderModel.load(path)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from defex.errors import (
     DegenerateVectorError,
     FingerprintError,
     NumericalError,
+    ParseError,
     ValidationError,
 )
 from defex.inference import (
@@ -91,6 +93,71 @@ class TestBuildIndex:
         assert loaded.fingerprint == index.fingerprint
         assert loaded.ontology == index.ontology
         np.testing.assert_array_equal(loaded.vectors, index.vectors)
+
+
+class TestIndexValidation:
+    """Every malformed index fails on load with a DefexError subclass."""
+
+    @pytest.fixture()
+    def saved(self, tiny_model, tiny_world, tmp_path):
+        path = tmp_path / "index.npz"
+        build_definition_index(tiny_model, tiny_world[1]).save(path)
+        return path
+
+    def test_checkpoint_is_not_an_index(self, tiny_model, tmp_path):
+        path = tmp_path / "model.npz"
+        tiny_model.save(path)
+        with pytest.raises(ValidationError, match="not a definition index"):
+            DefinitionIndex.load(path)
+
+    @pytest.mark.parametrize("content", [b"", b"vectors: 1 2 3\n"])
+    def test_not_an_npz_file(self, tmp_path, content):
+        path = tmp_path / "index.npz"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            DefinitionIndex.load(path)
+
+    def test_meta_not_json(self, saved, rewrite_archive):
+        rewrite_archive(saved, lambda data: data.update({"meta": np.array("{types")}))
+        with pytest.raises(ParseError, match="meta"):
+            DefinitionIndex.load(saved)
+
+    def test_malformed_types(self, saved, rewrite_archive):
+        def edit(data):
+            meta = json.loads(str(data["meta"]))
+            meta["types"] = [{"name": "x"}]
+            data["meta"] = np.array(json.dumps(meta))
+
+        rewrite_archive(saved, edit)
+        with pytest.raises(ValidationError, match="types"):
+            DefinitionIndex.load(saved)
+
+    def test_non_finite_vectors(self, saved, rewrite_archive):
+        def poison(data):
+            data["vectors"][0, 0] = np.nan
+
+        rewrite_archive(saved, poison)
+        with pytest.raises(NumericalError):
+            DefinitionIndex.load(saved)
+
+    @pytest.mark.parametrize("signature, offset, value", [
+        (b"PK\x05\x06", 16, 0x1000),  # central directory offset: members seek before the file
+        (b"PK\x01\x02", 8, 0x40),  # a member's flags claim strong encryption
+    ], ids=["directory-offset", "encryption-flag"])
+    def test_garbled_zip_header(self, saved, signature, offset, value):
+        content = bytearray(saved.read_bytes())
+        at = content.rfind(signature) + offset
+        content[at:at + 2] = value.to_bytes(2, "little")
+        saved.write_bytes(bytes(content))
+        with pytest.raises(ParseError):
+            DefinitionIndex.load(saved)
+
+    def test_truncated_file(self, saved):
+        content = saved.read_bytes()
+        for size in (0, 10, len(content) // 2, len(content) - 1):
+            saved.write_bytes(content[:size])
+            with pytest.raises(ParseError):
+                DefinitionIndex.load(saved)
 
 
 class TestScoreMention:
