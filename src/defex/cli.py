@@ -18,9 +18,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 from . import __version__
@@ -92,12 +94,36 @@ class RunConfig:
     raw: dict  # resolved plain-dict snapshot for the manifest
 
 
-def _build_section(name: str, cls, payload: dict, seed: int):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+def _has_type(value, kind) -> bool:
+    """JSON values come as exact built-in types: ``bool`` is not an ``int``,
+    an ``int`` is a ``float``, and a float must be finite."""
+    if kind is float and type(value) in (int, float):
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an int beyond float range
+            return False
+    return type(value) is kind
+
+
+def _check_value(key: str, value, annotation) -> None:
+    """Raise :class:`ValidationError` unless ``value`` has the annotated type."""
+    kinds = typing.get_args(annotation) or (annotation,)
+    if not any(_has_type(value, kind) for kind in kinds):
+        names = " or ".join("null" if kind is type(None) else "finite float" if kind is float
+                            else kind.__name__ for kind in kinds)
+        raise ValidationError(f"config key {key!r} must be {names}, got {value!r}")
+
+
+def _build_section(name: str, cls, payload, seed: int):
+    if not isinstance(payload, dict):
+        raise ValidationError(f"config section {name!r} must be an object")
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(f"unknown key(s) in config section {name!r}: {sorted(unknown)}")
-    if "seed" in known:
+    types = typing.get_type_hints(cls)
+    for key, value in payload.items():
+        _check_value(f"{name}.{key}", value, types[key])
+    if "seed" in types:
         payload = dict(payload)
         payload.setdefault("seed", seed)
     return cls(**payload)
@@ -111,21 +137,14 @@ def resolve_config(file_payload: dict, overrides: list[str]) -> RunConfig:
         **{name: {} for name in _SECTION_TYPES},
     }
     for key, value in file_payload.items():
-        if key == "paths":
-            if not isinstance(value, dict):
-                raise ValidationError("config key 'paths' must be an object")
-            unknown = set(value) - set(_DEFAULT_PATHS)
-            if unknown:
-                raise ValidationError(f"unknown path key(s): {sorted(unknown)}")
-            merged["paths"].update(value)
-        elif key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ValidationError(f"config section {key!r} must be an object")
-            merged[key] = dict(value)
-        elif key in ("seed", "subsample_per_definition"):
-            merged[key] = value
-        else:
+        if key not in merged:
             raise ValidationError(f"unknown top-level config key {key!r}")
+        if key == "paths" and isinstance(value, dict):
+            merged["paths"].update(value)
+        elif key in _SECTION_TYPES and isinstance(value, dict):
+            merged[key] = dict(value)
+        else:
+            merged[key] = value  # checked below, with the overrides
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"--set expects dotted.key=value, got {item!r}")
@@ -143,14 +162,25 @@ def resolve_config(file_payload: dict, overrides: list[str]) -> RunConfig:
         if parts[-1] not in target and parts[0] not in ("paths", *_SECTION_TYPES):
             raise ValidationError(f"--set path {dotted!r} does not name a config key")
         target[parts[-1]] = value
-    seed = int(merged["seed"])
+    types = typing.get_type_hints(RunConfig)
+    for key in ("seed", "subsample_per_definition"):
+        _check_value(key, merged[key], types[key])
+    paths = merged["paths"]
+    if not isinstance(paths, dict):
+        raise ValidationError("config key 'paths' must be an object")
+    unknown = set(paths) - set(_DEFAULT_PATHS)
+    if unknown:
+        raise ValidationError(f"unknown path key(s): {sorted(unknown)}")
+    for key, value in paths.items():
+        _check_value(f"paths.{key}", value, str if key == "output_dir" else str | None)
+    seed = merged["seed"]
     sections = {
         name: _build_section(name, cls, merged[name], seed)
         for name, cls in _SECTION_TYPES.items()
     }
     return RunConfig(
         seed=seed,
-        paths=merged["paths"],
+        paths=paths,
         subsample_per_definition=merged["subsample_per_definition"],
         raw=merged,
         **sections,

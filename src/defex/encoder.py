@@ -50,8 +50,11 @@ _PREFIX = {CONTEXT: "ctx.", DEFINITION: "defn."}
 # time with one BLAS thread on a 2-core x86 VM, default EncoderConfig:
 # extracting the default synthetic corpus (1250 sentences) took 0.20 / 0.27 /
 # 0.29 / 0.31 s at 16 / 32 / 64 / 128 (0.73 s one sentence at a time), but two
-# pretraining epochs took 2.0 s at 16 and 1.8 s at 64.  64 keeps a default
-# training batch (48 definition sequences) in one forward per side.
+# pretraining epochs took 2.0 s at 16 and 1.8 s at 64, when a training step
+# still encoded all 48 definition slots.  A default step (16 instances, each
+# with its positive and 2 negatives) now encodes each distinct definition
+# once: at most 48 sequences, about 31 on the default corpus, so 64 keeps a
+# step in one forward per side.
 ENCODE_BATCH_SIZE = 64
 
 # what np.load and reading its members raise on a file that is no intact

@@ -27,12 +27,14 @@ _MASK_BIAS = -1e30
 
 
 def gelu_forward(x):
-    out = 0.5 * x * (1.0 + erf(x / _SQRT2))
-    return out, x
+    # the backward reuses 1 + erf(x / sqrt 2), so erf runs once per layer
+    phi = 1.0 + erf(x / _SQRT2)
+    return 0.5 * x * phi, (x, phi)
 
 
-def gelu_backward(dout, x):
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+def gelu_backward(dout, cache):
+    x, phi = cache
+    cdf = 0.5 * phi
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return dout * (cdf + x * pdf)
 
@@ -135,8 +137,9 @@ def attention_backward(dout, cache, prefix):
 def block_forward(x, params, prefix, mask, n_heads, keep_cache=True):
     """Pre-norm transformer block: attention and feed-forward sublayers, each
     wrapped as ``x + f(layer_norm(x))``.  Without ``keep_cache`` the cache
-    is None, and the attention sublayer's activations are released before
-    the feed-forward sublayer runs."""
+    is None, the attention sublayer's activations are released before the
+    feed-forward sublayer runs, and the first feed-forward linear's
+    activations before the second runs."""
     normed1, ln1_cache = layer_norm_forward(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     attn_out, attn_cache = attention_forward(normed1, params, f"{prefix}.attn", mask, n_heads)
     h = x + attn_out
@@ -145,6 +148,8 @@ def block_forward(x, params, prefix, mask, n_heads, keep_cache=True):
     normed2, ln2_cache = layer_norm_forward(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     f1, f1_cache = linear_forward(normed2, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])
     a1, gelu_cache = gelu_forward(f1)
+    if not keep_cache:
+        normed2 = ln2_cache = f1 = f1_cache = gelu_cache = None
     f2, f2_cache = linear_forward(a1, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
     out = h + f2
     if not keep_cache:

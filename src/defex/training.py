@@ -6,6 +6,11 @@ averaged over the instance's negatives and then over the batch.  Gradients
 are computed analytically through cosine, pooling, the definition head, and
 both encoders; :func:`check_gradients` validates them against central
 finite differences.
+
+A step encodes each distinct definition token sequence once, however many
+instances use it as positive or negative and under whichever ids; each
+slot's gradient is summed into its sequence's row before the definition
+backward.
 """
 
 from __future__ import annotations
@@ -169,11 +174,22 @@ def prepare_batch(model: DualEncoderModel, items: Sequence[BatchItem]) -> Prepar
 
 def _batch_vectors(model: DualEncoderModel, batch: PreparedBatch, keep_caches: bool):
     """Anchors (B, dim) and definition vectors (B, 1 + negatives, dim) for a
-    prepared batch, plus the two sides' backward functions."""
+    prepared batch, plus the two sides' backward functions.  The definition
+    backward takes one gradient row per slot of ``batch.def_seqs``."""
     ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
     anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=keep_caches)
-    defvecs, back_d = model.encode_pooled(DEFINITION, batch.def_seqs, keep_caches=keep_caches)
-    defvecs = defvecs.reshape(batch.size, 1 + batch.n_negatives, -1)
+    row_of: dict[tuple[int, ...], int] = {}
+    slot_rows = np.array([row_of.setdefault(tuple(seq), len(row_of)) for seq in batch.def_seqs])
+    distinct, back_distinct = model.encode_pooled(DEFINITION, list(row_of),
+                                                  keep_caches=keep_caches)
+    defvecs = distinct[slot_rows].reshape(batch.size, 1 + batch.n_negatives, -1)
+    back_d = None
+    if keep_caches:
+        def back_d(d_slots: np.ndarray) -> dict[str, np.ndarray]:
+            d_distinct = np.zeros_like(distinct)
+            np.add.at(d_distinct, slot_rows, d_slots)
+            return back_distinct(d_distinct)
+
     return anchors, defvecs, (back_c, back_d)
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from defex import cli
 from defex.cli import main
 from defex.corpus import (
     load_alignment_corpus,
@@ -264,6 +267,63 @@ class TestConfigHandling:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "synth"]) == 2
+
+
+CONFIG_KEYS = sorted(
+    ["seed", "subsample_per_definition"]
+    + [f"paths.{key}" for key in cli._DEFAULT_PATHS]
+    + [f"{name}.{f.name}" for name, cls in cli._SECTION_TYPES.items()
+       for f in dataclasses.fields(cls)]
+)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+
+
+def resolved_only(config, args):
+    """Stands in for a command, so only config resolution runs."""
+    return 0
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("setting", [
+        "train.epochs=abc",
+        'synthetic.n_types="a"',
+        'seed="x"',
+        "train.epochs=1.5",
+        "train.epochs=true",
+        'train.learning_rate="x"',
+        "inference.threshold=NaN",
+        "encoder.ffn_head_hidden=2.0",
+        "paths.output_dir=null",
+        "train=5",
+    ])
+    def test_wrong_type_exits_1(self, monkeypatch, capsys, setting):
+        monkeypatch.setitem(cli._COMMANDS, "synth", resolved_only)
+        assert main(["--set", setting, "synth"]) == 1
+        assert capsys.readouterr().err.startswith("error [validation]: ")
+
+    def test_wrong_type_in_config_file_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "synth", resolved_only)
+        config = write_config(tmp_path, train={"epochs": True})
+        assert main(["--config", str(config), "synth"]) == 1
+
+    @pytest.mark.parametrize("setting, section, key, value", [
+        ("inference.threshold=0", "inference", "threshold", 0),
+        ("encoder.ffn_head_hidden=null", "encoder", "ffn_head_hidden", None),
+        ("encoder.ffn_head_hidden=16", "encoder", "ffn_head_hidden", 16),
+        ("synthetic.distractors_in_gold_sentences=true", "synthetic",
+         "distractors_in_gold_sentences", True),
+        ("encoder.tokenizer=identity", "encoder", "tokenizer", "identity"),
+    ])
+    def test_annotated_type_accepted(self, setting, section, key, value):
+        config = cli.resolve_config({}, [setting])
+        assert getattr(getattr(config, section), key) == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(CONFIG_KEYS), value=JSON_SCALARS)
+    def test_any_scalar_in_any_key_exits_0_or_1(self, key, value):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(cli._COMMANDS, "synth", resolved_only)
+            assert main(["--set", f"{key}={json.dumps(value)}", "synth"]) in (0, 1)
 
 
 def _drop_parameter(data):

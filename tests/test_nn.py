@@ -1,8 +1,11 @@
 """Layer-level checks: every backward pass is validated against central
 finite differences before the full-model gradient check ever runs."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from defex import nn
 
@@ -35,6 +38,24 @@ def test_gelu_derivative():
     dx = nn.gelu_backward(dout, cache)
     num = numeric_grad(lambda: float((nn.gelu_forward(x)[0] * dout).sum()), x)
     assert rel_err(dx, num) < 1e-7
+
+
+def test_gelu_equals_closed_forms_bit_for_bit():
+    rng = np.random.default_rng(6)
+    x = np.concatenate([
+        rng.normal(scale=3.0, size=400),
+        rng.uniform(-40.0, 40.0, size=200),
+        [-1e3, -12.0, -10.5, -1e-300, -0.0, 0.0, 1e-300, 10.5, 12.0, 1e3],
+    ]).reshape(2, 5, 61)
+    dout = rng.normal(size=x.shape)
+    out, cache = nn.gelu_forward(x)
+    dx = nn.gelu_backward(dout, cache)
+    expected_out = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    expected_dx = dout * (cdf + x * pdf)
+    assert out.tobytes() == expected_out.tobytes()
+    assert dx.tobytes() == expected_dx.tobytes()
 
 
 def test_linear_backward():
@@ -133,6 +154,31 @@ def test_block_backward():
     assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
     for name in ("b0.ffn.w1", "b0.ffn.w2", "b0.ln1.g", "b0.attn.wq"):
         assert rel_err(grads[name], numeric_grad(loss, params[name])) < 1e-6, name
+
+
+def test_block_forward_without_cache_equals_cached():
+    rng = np.random.default_rng(9)
+    b, l, d, h = 3, 6, 8, 16
+    params = {}
+    for ln in ("ln1", "ln2"):
+        params[f"b0.{ln}.g"] = 1.0 + 0.1 * rng.normal(size=d)
+        params[f"b0.{ln}.b"] = 0.1 * rng.normal(size=d)
+    params["b0.ffn.w1"] = rng.normal(size=(d, h)) * 0.3
+    params["b0.ffn.b1"] = rng.normal(size=h) * 0.1
+    params["b0.ffn.w2"] = rng.normal(size=(h, d)) * 0.3
+    params["b0.ffn.b2"] = rng.normal(size=d) * 0.1
+    for name in ("wq", "wk", "wv", "wo"):
+        params[f"b0.attn.{name}"] = rng.normal(size=(d, d)) * 0.3
+    for name in ("bq", "bk", "bv", "bo"):
+        params[f"b0.attn.{name}"] = rng.normal(size=d) * 0.1
+    x = rng.normal(size=(b, l, d)) * 2.0
+    mask = np.ones((b, l))
+    mask[1, 4:] = 0.0
+    mask[2, 1:] = 0.0
+    cached, cache = nn.block_forward(x, params, "b0", mask, 2, keep_cache=True)
+    uncached, none = nn.block_forward(x, params, "b0", mask, 2, keep_cache=False)
+    assert cache is not None and none is None
+    assert uncached.tobytes() == cached.tobytes()
 
 
 def test_sinusoidal_positions():

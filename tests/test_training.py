@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from defex import training
 from defex.corpus import AlignmentCorpus, AlignmentInstance, SyntheticSpec, generate_synthetic_corpus
-from defex.encoder import DualEncoderModel, EncoderConfig, cosine
+from defex.encoder import CONTEXT, DEFINITION, DualEncoderModel, EncoderConfig, cosine
 from defex.errors import ArgumentError, ConfigurationError, NumericalError
 from defex.nn import Adam
 from defex.training import (
@@ -258,6 +259,84 @@ class TestBatchedLoss:
             if loss_after < loss_before:
                 passed = True
         assert passed
+
+
+def pool_every_slot(model, batch, keep_caches):
+    """Reference for ``training._batch_vectors``: every definition slot of
+    the batch pooled as its own sequence through ``encode_pooled``."""
+    ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
+    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=keep_caches)
+    defvecs, back_d = model.encode_pooled(DEFINITION, batch.def_seqs, keep_caches=keep_caches)
+    return anchors, defvecs.reshape(batch.size, 1 + batch.n_negatives, -1), (back_c, back_d)
+
+
+class TestDistinctDefinitions:
+    """A training step encodes each distinct definition text once and sums
+    its slots' gradients; results must match pooling every slot."""
+
+    @staticmethod
+    def repeated_items(tiny_world):
+        corpus, _, _, _ = tiny_world
+        by_definition = {}
+        for inst in corpus.instances:
+            by_definition.setdefault(inst.definition_id, []).append(inst)
+        a, b, c = sorted(by_definition)[:3]
+        defs = corpus.definitions
+        alias_a = ("alias:" + a, defs[a])  # the same text as ``a`` under another id
+        return [
+            (by_definition[a][0], [(b, defs[b]), (c, defs[c])]),
+            (by_definition[a][1], [(c, defs[c]), (b, defs[b])]),
+            (by_definition[b][0], [alias_a, (c, defs[c])]),
+            (by_definition[c][0], [(a, defs[a]), alias_a]),
+            (by_definition[c][1], [(b, defs[b]), alias_a]),
+        ]
+
+    def test_loss_and_gradients_match_pooling_every_slot(self, tiny_world, tiny_model,
+                                                          monkeypatch):
+        batch = prepare_batch(tiny_model, self.repeated_items(tiny_world))
+        loss, grads, diag = loss_and_gradients(tiny_model, batch, margin=0.2)
+        forward_loss, _ = batch_loss(tiny_model, batch, margin=0.2)
+        monkeypatch.setattr(training, "_batch_vectors", pool_every_slot)
+        ref_loss, ref_grads, ref_diag = loss_and_gradients(tiny_model, batch, margin=0.2)
+        ref_forward_loss, _ = batch_loss(tiny_model, batch, margin=0.2)
+        assert loss == ref_loss and forward_loss == ref_forward_loss
+        for key in ("cos_pos", "cos_neg"):
+            assert diag[key].tobytes() == ref_diag[key].tobytes()
+        assert grads.keys() == ref_grads.keys()
+        # the floor covers gradients that are zero up to rounding, such as
+        # the attention key biases', which softmax cancels
+        floor = 1e-12 * max(float(np.abs(g).max()) for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-12, atol=floor, err_msg=name)
+
+    def test_definition_side_encodes_each_distinct_sequence_once(self, tiny_world, tiny_model,
+                                                                 monkeypatch):
+        model = tiny_model.copy()
+        batch = prepare_batch(model, self.repeated_items(tiny_world))
+        assert len(batch.def_seqs) == batch.size * (1 + batch.n_negatives) == 15
+        distinct = {tuple(seq) for seq in batch.def_seqs}
+        assert len(distinct) == 3
+        encoded = {CONTEXT: [], DEFINITION: []}
+        original = model.encode_batch
+
+        def recording(side, id_sequences, *args, **kwargs):
+            encoded[side].extend(tuple(seq) for seq in id_sequences)
+            return original(side, id_sequences, *args, **kwargs)
+
+        monkeypatch.setattr(model, "encode_batch", recording)
+        loss_and_gradients(model, batch, margin=0.2)
+        batch_loss(model, batch, margin=0.2)
+        assert len(encoded[DEFINITION]) == 2 * len(distinct)
+        assert set(encoded[DEFINITION]) == distinct
+        assert len(encoded[CONTEXT]) == 2 * batch.size
+
+    def test_gradient_check_on_repeated_definitions(self, tiny_world, tiny_model):
+        model = tiny_model.copy()
+        items = self.repeated_items(tiny_world)
+        _, diag = batch_loss(model, prepare_batch(model, items), margin=0.2)
+        # every hinge active and far from its kink, so finite differences hold
+        margin = float(diag["gaps"].max()) + 0.1
+        assert check_gradients(model, items, margin, n_coordinates=250, seed=5) < 1e-4
 
 
 class TestPretrain:
