@@ -92,6 +92,15 @@ class EncoderConfig:
             raise ArgumentError("max_sequence_length must be at least 2")
         if self.tokenizer not in ("subword", "identity"):
             raise ArgumentError(f"unknown tokenizer scheme {self.tokenizer!r}")
+        if not self.init_std > 0:
+            raise ArgumentError("init_std must be positive")
+        for name in ("ffn_head_hidden", "block_ffn_hidden"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be at least 1, or null for its default")
+        if not self.position_scale >= 0:
+            raise ArgumentError("position_scale must be non-negative")
+        if self.residual_init_scale is not None and not self.residual_init_scale >= 0:
+            raise ArgumentError("residual_init_scale must be non-negative, or null for its default")
 
     @property
     def head_hidden(self) -> int:

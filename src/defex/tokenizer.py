@@ -4,7 +4,9 @@ Two interchangeable schemes:
 
 * :class:`SubwordTokenizer` -- a piece inventory learned from corpus word
   frequencies by iterative pair merging, applied at encode time with greedy
-  longest-match from the left.  Lowercases its input.
+  longest-match from the left.  Lowercases its input.  Fitting counts the
+  adjacent pairs of the distinct words once and keeps the counts
+  incrementally, re-counting after each merge only the words it touched.
 * :class:`IdentityTokenizer` -- one id per distinct (lowercased) word of the
   fitting corpus; out-of-vocabulary words map to the unknown id.
 
@@ -15,7 +17,7 @@ word-level mention spans can be resolved against sub-token sequences.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
 from .errors import ArgumentError, ValidationError
@@ -24,37 +26,56 @@ PAD = "<pad>"
 UNK = "<unk>"
 
 
+def _apply_merge(symbols: tuple[str, ...], pair: tuple[str, str], merged: str) -> tuple[str, ...]:
+    """Join every occurrence of ``pair`` in ``symbols``, left to right and
+    non-overlapping."""
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
 def _merge_pairs(word_freq: dict[tuple[str, ...], int], target_size: int, base: set[str]):
     """Learn merged pieces by repeatedly joining the most frequent adjacent
-    pair.  Ties break lexicographically so training is deterministic."""
+    pair.  Ties break lexicographically so training is deterministic.
+
+    Pair counts are taken once over the distinct words and then kept
+    incrementally: ``where`` maps each pair to the words that held it, and a
+    merge re-counts only those words.  An index left in ``where`` after its
+    word lost the pair is harmless: the rewrite changes nothing and its
+    counts net to zero."""
     pieces = set(base)
-    words = dict(word_freq)
-    while len(pieces) < target_size:
-        counts: Counter[tuple[str, str]] = Counter()
-        for symbols, freq in words.items():
-            for a, b in zip(symbols, symbols[1:]):
-                counts[(a, b)] += freq
-        if not counts:
+    words = list(word_freq)
+    freqs = list(word_freq.values())
+    counts: Counter[tuple[str, str]] = Counter()
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += freqs[i]
+            where[pair].add(i)
+    while len(pieces) < target_size and counts:
+        top = max(counts.values())
+        if top < 2:
             break
-        best = min(counts, key=lambda p: (-counts[p], p))
-        if counts[best] < 2:
-            break
+        best = min(pair for pair, n in counts.items() if n == top)
         merged = best[0] + best[1]
         pieces.add(merged)
-        rewritten = {}
-        for symbols, freq in words.items():
-            out = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == best:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            key = tuple(out)
-            rewritten[key] = rewritten.get(key, 0) + freq
-        words = rewritten
+        for i in where.pop(best):
+            symbols, freq = words[i], freqs[i]
+            for pair in zip(symbols, symbols[1:]):
+                counts[pair] -= freq
+                if not counts[pair]:
+                    del counts[pair]
+            symbols = words[i] = _apply_merge(symbols, best, merged)
+            for pair in zip(symbols, symbols[1:]):
+                counts[pair] += freq
+                where[pair].add(i)
     return pieces
 
 
@@ -64,8 +85,10 @@ class SubwordTokenizer:
     kind = "subword"
 
     def __init__(self, pieces: Sequence[str]):
-        if pieces[:2] != [PAD, UNK] and tuple(pieces[:2]) != (PAD, UNK):
+        if tuple(pieces[:2]) != (PAD, UNK):
             raise ValidationError("piece table must start with the pad and unk symbols")
+        if not all(isinstance(p, str) and p for p in pieces):
+            raise ValidationError("every piece must be a non-empty string")
         self.pieces = tuple(pieces)
         self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
         if len(self.piece_to_id) != len(self.pieces):
@@ -140,6 +163,8 @@ class IdentityTokenizer:
     def __init__(self, words: Sequence[str]):
         if tuple(words[:2]) != (PAD, UNK):
             raise ValidationError("word table must start with the pad and unk symbols")
+        if not all(isinstance(w, str) for w in words):
+            raise ValidationError("every word in the table must be a string")
         self.pieces = tuple(words)
         self.piece_to_id = {w: i for i, w in enumerate(self.pieces)}
         if len(self.piece_to_id) != len(self.pieces):
@@ -183,11 +208,16 @@ class IdentityTokenizer:
 
 
 def tokenizer_from_dict(payload: dict):
+    if not isinstance(payload, dict):
+        raise ValidationError("a tokenizer table must be a JSON object")
+    pieces = payload.get("pieces")
+    if not isinstance(pieces, list):
+        raise ValidationError("a tokenizer table must hold a 'pieces' list")
     kind = payload.get("kind")
     if kind == "subword":
-        return SubwordTokenizer(payload["pieces"])
+        return SubwordTokenizer(pieces)
     if kind == "identity":
-        return IdentityTokenizer(payload["pieces"])
+        return IdentityTokenizer(pieces)
     raise ValidationError(f"unknown tokenizer kind {kind!r}")
 
 

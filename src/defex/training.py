@@ -55,6 +55,8 @@ class TrainConfig:
             raise ArgumentError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ArgumentError("batch_size must be at least 1")
+        if not self.learning_rate > 0:
+            raise ArgumentError("learning_rate must be positive")
         if not (0.0 <= self.strong_negative_ratio <= 1.0):
             raise ArgumentError("strong_negative_ratio must be in [0, 1]")
 

@@ -326,6 +326,37 @@ class TestConfigValueTypes:
             assert main(["--set", f"{key}={json.dumps(value)}", "synth"]) in (0, 1)
 
 
+class TestConfigValueRanges:
+    @pytest.mark.parametrize("setting", [
+        "encoder.init_std=-1",
+        "encoder.init_std=0",
+        "encoder.ffn_head_hidden=-3",
+        "encoder.ffn_head_hidden=0",
+        "encoder.block_ffn_hidden=-1",
+        "encoder.block_ffn_hidden=0",
+        "encoder.position_scale=-5",
+        "encoder.residual_init_scale=-1",
+        "train.learning_rate=-1",
+        "train.learning_rate=0",
+        "warm.learning_rate=0",
+    ])
+    def test_out_of_range_exits_1(self, monkeypatch, capsys, setting):
+        monkeypatch.setitem(cli._COMMANDS, "synth", resolved_only)
+        assert main(["--set", setting, "synth"]) == 1
+        assert capsys.readouterr().err.startswith("error [argument]: ")
+
+    @pytest.mark.parametrize("setting, section, key, value", [
+        ("encoder.position_scale=0", "encoder", "position_scale", 0),
+        ("encoder.residual_init_scale=0", "encoder", "residual_init_scale", 0),
+        ("encoder.residual_init_scale=null", "encoder", "residual_init_scale", None),
+        ("encoder.block_ffn_hidden=1", "encoder", "block_ffn_hidden", 1),
+        ("train.learning_rate=1e-6", "train", "learning_rate", 1e-6),
+    ])
+    def test_range_edges_accepted(self, setting, section, key, value):
+        config = cli.resolve_config({}, [setting])
+        assert getattr(getattr(config, section), key) == value
+
+
 def _drop_parameter(data):
     data.pop("param/ctx.b0.attn.wq")
 

@@ -1,6 +1,13 @@
-import pytest
+import hashlib
+import json
+from collections import Counter
 
-from defex.errors import ArgumentError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from defex import tokenizer as tokenizer_module
+from defex.corpus import SyntheticSpec, generate_synthetic_corpus
+from defex.errors import ArgumentError, ValidationError
 from defex.tokenizer import (
     PAD,
     UNK,
@@ -86,3 +93,129 @@ def test_build_tokenizer_dispatch():
     assert build_tokenizer("subword", ["a"], 32).kind == "subword"
     with pytest.raises(ArgumentError):
         build_tokenizer("byte", ["a"], 32)
+
+
+# -- the incremental pair counts against the full recount they replaced -------
+
+
+def full_recount_merge_pairs(word_freq, target_size, base):
+    """The merge loop as it was before pair counts were kept incrementally:
+    every merge recounts every pair of every distinct word."""
+    pieces = set(base)
+    words = dict(word_freq)
+    while len(pieces) < target_size:
+        counts = Counter()
+        for symbols, freq in words.items():
+            for a, b in zip(symbols, symbols[1:]):
+                counts[(a, b)] += freq
+        if not counts:
+            break
+        best = min(counts, key=lambda p: (-counts[p], p))
+        if counts[best] < 2:
+            break
+        merged = best[0] + best[1]
+        pieces.add(merged)
+        rewritten = {}
+        for symbols, freq in words.items():
+            out = []
+            i = 0
+            while i < len(symbols):
+                if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == best:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(symbols[i])
+                    i += 1
+            key = tuple(out)
+            rewritten[key] = rewritten.get(key, 0) + freq
+        words = rewritten
+    return pieces
+
+
+def train_both(words, vocab_size):
+    """Piece tables of ``SubwordTokenizer.train`` with the incremental merge
+    loop and with the full-recount reference."""
+    fast = SubwordTokenizer.train(words, vocab_size).pieces
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tokenizer_module, "_merge_pairs", full_recount_merge_pairs)
+        reference = SubwordTokenizer.train(words, vocab_size).pieces
+    return fast, reference
+
+
+@st.composite
+def word_lists(draw):
+    alphabet = draw(st.sampled_from(["a", "aA", "abB", "aAbBc", "abcde", "AbCdE"]))
+    distinct = draw(st.lists(st.text(alphabet, min_size=1, max_size=8), min_size=1, max_size=25))
+    repeats = draw(st.lists(st.integers(1, 5), min_size=len(distinct), max_size=len(distinct)))
+    return [word for word, n in zip(distinct, repeats) for _ in range(n)]
+
+
+class TestIncrementalPairCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(words=word_lists(), vocab_size=st.integers(8, 80))
+    def test_equals_full_recount(self, words, vocab_size):
+        fast, reference = train_both(words, vocab_size)
+        assert fast == reference
+
+    def test_overlapping_pairs(self):
+        fast, reference = train_both(["aaaa"] * 3, 32)
+        assert fast == reference == (PAD, UNK, "a", "aa", "aaaa")
+
+    def test_one_string_from_two_pairs_adds_one_piece(self):
+        # ('ab', 'c') and ('a', 'bc') both merge to 'abc'; the second merge
+        # adds no piece, so the loop goes on to ('x', 'y')
+        word_freq = {("ab", "c"): 3, ("a", "bc"): 2, ("x", "y"): 2}
+        base = {"a", "b", "c", "ab", "bc", "x", "y"}
+        pieces = tokenizer_module._merge_pairs(word_freq, 9, base)
+        assert pieces == full_recount_merge_pairs(word_freq, 9, base) == base | {"abc", "xy"}
+
+    def test_stops_on_budget(self):
+        words = ["abcd"] * 9 + ["abab"] * 4
+        fast, reference = train_both(words, 8)
+        assert fast == reference
+        assert len(fast) == 8
+        assert len(SubwordTokenizer.train(words, 64)) > 8
+
+    def test_stops_when_no_pair_repeats(self):
+        fast, reference = train_both(["ab", "cd", "ef"], 64)
+        assert fast == reference == (PAD, UNK, "a", "b", "c", "d", "e", "f")
+        fast, reference = train_both(["abc", "abd"], 64)
+        assert fast == reference == (PAD, UNK, "a", "b", "c", "d", "ab")
+
+
+WIDE_EXTRACT_SPEC = SyntheticSpec(
+    n_types=40,
+    mentions_per_type=100,
+    min_sentence_length=6,
+    max_sentence_length=24,
+    distractors_in_gold_sentences=True,
+)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (SyntheticSpec(), "fe5c492fad77b14f6d8b0abfaa5cb515cda492197256cd1c7946a08c82fbeb89"),
+    (WIDE_EXTRACT_SPEC, "343e94b58ab9d6b18c37a4eb6fd4bfcc9a737171c8a04f5a7d233242971966d9"),
+], ids=["default", "wide-extract"])
+def test_pinned_piece_tables(spec, digest):
+    corpus = generate_synthetic_corpus(spec, 1)[0]
+    tok = SubwordTokenizer.train(corpus.all_words(), vocab_size=1024)
+    assert hashlib.sha256(json.dumps(tok.to_dict()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("payload", [
+    ["subword", [PAD, UNK, "a"]],
+    "subword",
+    None,
+    {"kind": "subword"},
+    {"kind": "subword", "pieces": "<pad><unk>a"},
+    {"kind": "subword", "pieces": [PAD, UNK, "a", 3]},
+    {"kind": "subword", "pieces": [PAD, UNK, "a", ""]},
+    {"kind": "subword", "pieces": [PAD, UNK, "a", "a"]},
+    {"kind": "subword", "pieces": [UNK, PAD, "a"]},
+    {"kind": "identity", "pieces": [PAD, UNK, None]},
+    {"kind": "identity", "pieces": [PAD, UNK, ["a"]]},
+    {"kind": "byte", "pieces": [PAD, UNK, "a"]},
+])
+def test_malformed_table_raises_validation_error(payload):
+    with pytest.raises(ValidationError):
+        tokenizer_from_dict(payload)
