@@ -379,7 +379,6 @@ def cmd_infer(config: RunConfig, args) -> int:
     run_dir = _make_run_dir(config.paths["output_dir"], "infer")
     counter = CallCounter()
     index = build_definition_index(model, ontology, counter=counter)
-    index.save(run_dir / "definition_index.npz")
     preds, counter = extract(model, index, documents, config.inference, counter=counter)
     preds_path = run_dir / "preds.jsonl"
     save_predictions(preds, preds_path)
@@ -397,12 +396,7 @@ def cmd_infer(config: RunConfig, args) -> int:
 
 
 def cmd_eval(config: RunConfig, args) -> int:
-    if args.predictions is not None:
-        preds_path = Path(args.predictions)
-        if not preds_path.exists():
-            raise InputNotFoundError(f"predictions file not found: {preds_path}")
-    else:
-        preds_path = _require_path(config, "predictions")
+    preds_path = _require_path(config, "predictions")
     gold_path = _require_path(config, "gold")
     ontology_path = _require_path(config, "ontology")
     preds = load_predictions(preds_path)
@@ -473,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     warm_p.add_argument("--gold", action="store_true",
                         help="fine-tune on annotated mentions instead of retrieved instances")
     sub.add_parser("infer", help="build the definition index and extract mentions")
-    eval_p = sub.add_parser("eval", help="score predictions against gold")
-    eval_p.add_argument("--predictions", default=None, help="preds.jsonl to score")
+    sub.add_parser("eval", help="score predictions against gold")
     bench_p = sub.add_parser("bench", help="disjoint vs joint inference timing")
     bench_p.add_argument("--repetitions", type=int, default=3)
     return parser

@@ -338,7 +338,8 @@ def load_alignment_corpus(path) -> AlignmentCorpus:
         start = _field(record, "start", path, lineno)
         end = _field(record, "end", path, lineno)
         definition_id = _field(record, "definition_id", path, lineno)
-        if not isinstance(start, int) or not isinstance(end, int):
+        # exact types: a JSON true/false loads as bool, which is an int subclass
+        if type(start) is not int or type(end) is not int:
             raise ParseError(f"{path}:{lineno}: start/end must be integers")
         if not isinstance(definition_id, str):
             raise ParseError(f"{path}:{lineno}: definition_id must be a string")
@@ -446,6 +447,8 @@ def load_documents(path) -> tuple[Document, ...]:
         doc_id = _field(record, "doc_id", path, lineno)
         sentences = _field(record, "sentences", path, lineno)
         candidates = _field(record, "candidates", path, lineno)
+        if not isinstance(doc_id, str):
+            raise ParseError(f"{path}:{lineno}: doc_id must be a string")
         if not isinstance(sentences, list):
             raise ParseError(f"{path}:{lineno}: sentences must be an array")
         sents = tuple(_token_list(s, path, lineno, "sentences") for s in sentences)
@@ -453,7 +456,7 @@ def load_documents(path) -> tuple[Document, ...]:
             raise ParseError(f"{path}:{lineno}: candidates must be an array")
         cands = []
         for cand in candidates:
-            if not (isinstance(cand, list) and len(cand) == 3 and all(isinstance(x, int) for x in cand)):
+            if not (isinstance(cand, list) and len(cand) == 3 and all(type(x) is int for x in cand)):
                 raise ParseError(f"{path}:{lineno}: candidate {cand!r} must be [sent_idx, start, end]")
             cands.append(tuple(cand))
         if doc_id in seen:
@@ -492,7 +495,7 @@ def _load_mention_records(path, with_score: bool):
         }
         if not isinstance(args["doc_id"], str) or not isinstance(args["type_name"], str):
             raise ParseError(f"{path}:{lineno}: doc_id/type_name must be strings")
-        if not all(isinstance(args[k], int) for k in ("sentence_idx", "start", "end")):
+        if not all(type(args[k]) is int for k in ("sentence_idx", "start", "end")):
             raise ParseError(f"{path}:{lineno}: sentence_idx/start/end must be integers")
         if with_score:
             score = _field(record, "score", path, lineno)

@@ -123,13 +123,11 @@ def sub_token_range(word_spans: Sequence[tuple[int, int]], start: int,
 @dataclass(frozen=True)
 class MentionVector:
     values: np.ndarray
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
 class DefinitionVector:
     values: np.ndarray
-    provenance: str = ""
 
 
 def cosine(u, v) -> float:
@@ -465,13 +463,13 @@ class DualEncoderModel:
         ids, word_spans = self.tokenizer.encode_words(sentence)
         lo, hi = sub_token_range(word_spans, *span)
         vectors, _ = self.encode_pooled(CONTEXT, [ids], [(0, lo, hi)], counter=counter)
-        return MentionVector(vectors[0], provenance=f"span[{span[0]},{span[1]}]")
+        return MentionVector(vectors[0])
 
     def encode_definition(self, definition: Sequence[str], counter=None) -> DefinitionVector:
         """Head-transformed mean over every definition sub-token."""
         ids, _ = self.tokenizer.encode_words(definition)
         vectors, _ = self.encode_pooled(DEFINITION, [ids], counter=counter)
-        return DefinitionVector(vectors[0], provenance=" ".join(definition[:6]))
+        return DefinitionVector(vectors[0])
 
     # -- persistence ----------------------------------------------------------
 
@@ -553,15 +551,16 @@ def _parameter_shapes(config: EncoderConfig, vocab_size: int,
 
 def load_archive(path, what: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The JSON ``meta`` object and the other arrays of an ``.npz`` archive
-    written with a ``meta`` string, as checkpoints and definition indexes
-    are.  A missing file raises :class:`InputNotFoundError`; a file that is
-    no readable ``.npz``, or whose meta is not a JSON object, raises
-    :class:`ParseError`; an archive without meta, :class:`ValidationError`."""
+    written with a ``meta`` string, as checkpoints are.  A missing file
+    raises :class:`InputNotFoundError`; a file that is no readable ``.npz``,
+    or whose meta is not a JSON object, raises :class:`ParseError`; an
+    archive without meta, :class:`ValidationError`."""
     path = Path(path)
     if not path.exists():
         raise InputNotFoundError(f"{what} not found: {path}")
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaves a file it opened itself open when the zip parse fails
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
     except _UNREADABLE_ARCHIVE as exc:
         if isinstance(exc, OSError) and exc.errno != errno.EINVAL:

@@ -15,14 +15,13 @@ sweep therefore scores the corpus once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Document, EventOntology, PredictionRecord, PredictionSet, SpanKey
-from .encoder import CONTEXT, DEFINITION, DualEncoderModel, load_archive, sub_token_range
+from .encoder import CONTEXT, DEFINITION, DualEncoderModel, sub_token_range
 from .errors import (
     ArgumentError,
     DegenerateVectorError,
@@ -30,8 +29,6 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-
-INDEX_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -86,34 +83,6 @@ class DefinitionIndex:
         if np.any(norms == 0.0):
             raise DegenerateVectorError("definition index contains a zero vector")
         object.__setattr__(self, "_norms", norms)
-
-    def save(self, path) -> None:
-        meta = {
-            "format_version": INDEX_FORMAT_VERSION,
-            "fingerprint": self.fingerprint,
-            "types": [{"type_name": n, "definition": list(d)} for n, d in self.ontology.types],
-        }
-        np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), vectors=self.vectors)
-
-    @classmethod
-    def load(cls, path) -> "DefinitionIndex":
-        meta, arrays = load_archive(path, "definition index")
-        if meta.get("format_version") != INDEX_FORMAT_VERSION:
-            raise ValidationError("definition index format version mismatch")
-        if "types" not in meta or "fingerprint" not in meta or arrays.keys() != {"vectors"}:
-            raise ValidationError(f"{path} is not a definition index")
-        try:
-            ontology = EventOntology(
-                tuple((t["type_name"], tuple(t["definition"])) for t in meta["types"])
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}: malformed definition index types: {exc!r}") from None
-        vectors = arrays["vectors"]
-        if vectors.dtype != np.float64:
-            raise ValidationError(f"{path}: index vectors are {vectors.dtype}, expected float64")
-        if not np.all(np.isfinite(vectors)):
-            raise NumericalError(f"{path}: index vectors hold NaN or inf")
-        return cls(ontology, vectors, str(meta["fingerprint"]))
 
 
 def build_definition_index(model: DualEncoderModel, ontology: EventOntology,

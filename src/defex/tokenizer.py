@@ -172,6 +172,8 @@ class IdentityTokenizer:
 
     @classmethod
     def train(cls, words: Iterable[str], vocab_size: int | None = None) -> "IdentityTokenizer":
+        if vocab_size is not None and vocab_size < 8:
+            raise ArgumentError("vocab_size too small to be useful")
         vocab = sorted({w.lower() for w in words})
         if not vocab:
             raise ArgumentError("cannot build a word table from an empty word stream")

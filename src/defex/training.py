@@ -44,7 +44,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 7e-4
     seed: int = 0
-    strong_negative_ratio: float = 0.0
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -57,8 +56,6 @@ class TrainConfig:
             raise ArgumentError("batch_size must be at least 1")
         if not self.learning_rate > 0:
             raise ArgumentError("learning_rate must be positive")
-        if not (0.0 <= self.strong_negative_ratio <= 1.0):
-            raise ArgumentError("strong_negative_ratio must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -71,12 +68,16 @@ class WarmConfig(TrainConfig):
     strong_negative_ratio: float = 0.5
     learning_rate: float = 3e-4
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 <= self.strong_negative_ratio <= 1.0):
+            raise ArgumentError("strong_negative_ratio must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class TrainReport:
     epoch_losses: tuple[float, ...]
     epoch_seconds: tuple[float, ...]
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         losses = np.asarray(self.epoch_losses, dtype=np.float64)
@@ -195,15 +196,14 @@ def _batch_vectors(model: DualEncoderModel, batch: PreparedBatch, keep_caches: b
     return anchors, defvecs, (back_c, back_d)
 
 
-def batch_loss(model: DualEncoderModel, batch: PreparedBatch, margin: float,
-               loss_scale: float = 1.0):
+def batch_loss(model: DualEncoderModel, batch: PreparedBatch, margin: float):
     """Forward-only batch loss; returns (loss, diagnostics)."""
     anchors, defvecs, _ = _batch_vectors(model, batch, keep_caches=False)
-    loss, _, _, diag = _hinge_terms(anchors, defvecs, margin, loss_scale)
+    loss, _, _, diag = _hinge_terms(anchors, defvecs, margin)
     return loss, diag
 
 
-def _hinge_terms(anchors, defvecs, margin, loss_scale):
+def _hinge_terms(anchors, defvecs, margin):
     positives = defvecs[:, 0, :]
     negatives = defvecs[:, 1:, :]
     norm_a = np.linalg.norm(anchors, axis=1)
@@ -219,24 +219,23 @@ def _hinge_terms(anchors, defvecs, margin, loss_scale):
     b, k = cos_neg.shape
     # np.maximum propagates non-finite hinge values into the loss, so the
     # training loop's finiteness check can name the offending batch
-    loss = float(loss_scale * np.maximum(hinge, 0.0).sum() / (b * k))
+    loss = float(np.maximum(hinge, 0.0).sum() / (b * k))
     diag = {"cos_pos": cos_pos, "cos_neg": cos_neg, "gaps": gaps, "active": active}
     geometry = (positives, negatives, norm_a, norm_p, norm_n, cos_pos, cos_neg)
     return loss, active, geometry, diag
 
 
-def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: float,
-                       loss_scale: float = 1.0):
+def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: float):
     """Batch loss plus analytic gradients for every trainable parameter.
 
     Returns ``(loss, grads, diagnostics)`` where ``grads`` is keyed like
     ``model.parameters()``.
     """
     anchors, defvecs, (back_c, back_d) = _batch_vectors(model, batch, keep_caches=True)
-    loss, active, geometry, diag = _hinge_terms(anchors, defvecs, margin, loss_scale)
+    loss, active, geometry, diag = _hinge_terms(anchors, defvecs, margin)
     positives, negatives, norm_a, norm_p, norm_n, cos_pos, cos_neg = geometry
     b, k = cos_neg.shape
-    coeff = loss_scale / (b * k)
+    coeff = 1.0 / (b * k)
     dcos_pos = -coeff * active.sum(axis=1).astype(np.float64)
     dcos_neg = coeff * active.astype(np.float64)
 
@@ -349,14 +348,13 @@ def sample_kink_free_batch(model: DualEncoderModel, corpus: AlignmentCorpus,
 
 
 def check_gradients(model: DualEncoderModel, items: Sequence[BatchItem], margin: float,
-                    n_coordinates: int = 200, step: float = 1e-4, seed: int = 0,
-                    loss_scale: float = 1.0) -> float:
+                    n_coordinates: int = 200, step: float = 1e-4, seed: int = 0) -> float:
     """Compare analytic parameter gradients against central finite
     differences on a random coordinate subset; returns the max relative
     error.  Diagnostic only: never raises on disagreement.
     """
     batch = prepare_batch(model, items)
-    _, grads, _ = loss_and_gradients(model, batch, margin, loss_scale=loss_scale)
+    _, grads, _ = loss_and_gradients(model, batch, margin)
     params = model.parameters()
     coords = []
     for name in sorted(params):
@@ -372,9 +370,9 @@ def check_gradients(model: DualEncoderModel, items: Sequence[BatchItem], margin:
         original = array.flat[flat]
         h = step * max(1.0, abs(original))
         array.flat[flat] = original + h
-        plus, _ = batch_loss(model, batch, margin, loss_scale=loss_scale)
+        plus, _ = batch_loss(model, batch, margin)
         array.flat[flat] = original - h
-        minus, _ = batch_loss(model, batch, margin, loss_scale=loss_scale)
+        minus, _ = batch_loss(model, batch, margin)
         array.flat[flat] = original
         numeric = (plus - minus) / (2.0 * h)
         analytic = grads[name].flat[flat]

@@ -22,7 +22,7 @@ from .corpus import (
     GoldMentionSet,
     Tokens,
 )
-from .encoder import CONTEXT, DEFINITION, DualEncoderModel, IdentityHead, cosine
+from .encoder import DEFINITION, DualEncoderModel, IdentityHead, cosine
 from .errors import ArgumentError, ConfigurationError, ValidationError
 from .training import (
     NegativeSampler,
@@ -35,29 +35,18 @@ from .training import (
 
 @dataclass(frozen=True)
 class RetrievalConfig:
-    similarity: str = "cosine"
-    static_embedder: str = "definition"  # or "context"
     retrieved_count: int = 1
 
     def __post_init__(self):
-        if self.similarity != "cosine":
-            raise ArgumentError(f"unsupported similarity {self.similarity!r}")
-        if self.static_embedder not in (DEFINITION, CONTEXT):
-            raise ArgumentError(
-                f"static_embedder must be {DEFINITION!r} or {CONTEXT!r}"
-            )
         if self.retrieved_count < 1:
             raise ArgumentError("retrieved_count must be at least 1")
 
 
 class StaticEmbedder:
-    """A frozen snapshot of the model used as a plain sentence embedder on
-    one side: mean of the per-sub-token states, no definition head."""
+    """A frozen snapshot of the model's definition encoder used as a plain
+    sentence embedder: mean of the per-sub-token states, no definition head."""
 
-    def __init__(self, model: DualEncoderModel, side: str = DEFINITION):
-        if side not in (DEFINITION, CONTEXT):
-            raise ArgumentError(f"unknown encoder side {side!r}")
-        self.side = side
+    def __init__(self, model: DualEncoderModel):
         self._model = model.copy()
         self._model.ffn_head = IdentityHead()
 
@@ -67,7 +56,7 @@ class StaticEmbedder:
     def embed_all(self, token_sequences: Sequence[Sequence[str]]) -> np.ndarray:
         """One row per token sequence, encoded in batches."""
         seqs = [self._model.tokenizer.encode_words(tokens)[0] for tokens in token_sequences]
-        vectors, _ = self._model.encode_pooled(self.side, seqs)
+        vectors, _ = self._model.encode_pooled(DEFINITION, seqs)
         return vectors
 
 
@@ -109,7 +98,7 @@ def build_warming_subset(model: DualEncoderModel, ontology: EventOntology,
     and keep exactly the instances aligned to the retrieved set."""
     if not corpus.definitions:
         raise ConfigurationError("alignment corpus has an empty definition inventory")
-    embedder = StaticEmbedder(model, config.static_embedder)
+    embedder = StaticEmbedder(model)
     vectors = dict(zip(corpus.definitions, embedder.embed_all(list(corpus.definitions.values()))))
     targets = embedder.embed_all([definition for _, definition in ontology.types])
     per_type: dict[str, tuple[tuple[str, float], ...]] = {}

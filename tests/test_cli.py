@@ -196,7 +196,10 @@ class TestInferEvalBench:
         assert counter["n_candidates"] == n
         assert counter["definition_encoder_calls"] == len(onto)
         assert counter["joint_pair_count"] == n * len(onto)
-        assert main(["--config", str(config), "eval", "--predictions", str(preds_path)]) == 0
+        assert sorted(p.name for p in infer_dir.iterdir()) == [
+            "counter_report.json", "manifest.json", "preds.jsonl"]
+        assert main(["--config", str(config), "--set", f"paths.predictions={preds_path}",
+                     "eval"]) == 0
         eval_dir = only_run_dir(tmp_path, "eval")
         report = json.loads((eval_dir / "eval_report.json").read_text())
         assert set(report) == {"identification", "identification+classification"}
@@ -218,7 +221,8 @@ class TestInferEvalBench:
             "gold": str(synth_dir / "gold.jsonl"),
             "ontology": str(synth_dir / "ontology.jsonl"),
         })
-        assert main(["--config", str(config), "eval", "--predictions", str(preds_path)]) == 0
+        assert main(["--config", str(config), "--set", f"paths.predictions={preds_path}",
+                     "eval"]) == 0
         report = json.loads((only_run_dir(tmp_path, "eval") / "eval_report.json").read_text())
         assert report["identification"]["f1"] == 1.0
         assert report["identification+classification"]["f1"] == 1.0
@@ -236,7 +240,8 @@ class TestInferEvalBench:
             "gold": str(synth_dir / "gold.jsonl"),
             "ontology": str(synth_dir / "ontology.jsonl"),
         })
-        assert main(["--config", str(config), "eval", "--predictions", str(preds_path)]) == 1
+        assert main(["--config", str(config), "--set", f"paths.predictions={preds_path}",
+                     "eval"]) == 1
 
     def test_bench(self, pipeline_dirs):
         tmp_path, config, synth_dir, pretrain_dir, warm_dir = pipeline_dirs
@@ -326,6 +331,23 @@ class TestConfigValueTypes:
             assert main(["--set", f"{key}={json.dumps(value)}", "synth"]) in (0, 1)
 
 
+class TestRemovedSettings:
+    @pytest.mark.parametrize("setting", [
+        "train.strong_negative_ratio=0.5",
+        "retrieval.similarity=cosine",
+        "retrieval.static_embedder=definition",
+    ])
+    def test_removed_key_exits_1(self, monkeypatch, capsys, setting):
+        monkeypatch.setitem(cli._COMMANDS, "synth", resolved_only)
+        assert main(["--set", setting, "synth"]) == 1
+        assert capsys.readouterr().err.startswith("error [validation]: ")
+
+    def test_removed_eval_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--predictions", "preds.jsonl"])
+        assert exc.value.code == 2
+
+
 class TestConfigValueRanges:
     @pytest.mark.parametrize("setting", [
         "encoder.init_std=-1",
@@ -339,6 +361,7 @@ class TestConfigValueRanges:
         "train.learning_rate=-1",
         "train.learning_rate=0",
         "warm.learning_rate=0",
+        "warm.strong_negative_ratio=1.5",
     ])
     def test_out_of_range_exits_1(self, monkeypatch, capsys, setting):
         monkeypatch.setitem(cli._COMMANDS, "synth", resolved_only)
@@ -387,12 +410,9 @@ class TestMalformedCheckpoint:
         if change == "not an archive":
             checkpoint.write_text("weights\n")
         elif change == "index":
-            from defex.encoder import DualEncoderModel
-            from defex.inference import build_definition_index
-
-            model = DualEncoderModel.load(pretrain_dir / "checkpoint.npz")
-            onto = load_ontology(synth_dir / "ontology.jsonl")
-            build_definition_index(model, onto).save(checkpoint)
+            # a foreign archive in the checkpoint format: JSON meta, no config
+            meta = {"format_version": 1, "fingerprint": "0" * 64, "types": []}
+            np.savez(checkpoint, meta=np.array(json.dumps(meta)), vectors=np.ones((2, 4)))
         else:
             rewrite_archive(pretrain_dir / "checkpoint.npz", change, checkpoint)
         config = write_config(tmp_path, paths={
@@ -405,4 +425,27 @@ class TestMalformedCheckpoint:
         assert main(["--config", str(config), "infer"]) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error [{category}]: ")
+        assert "Traceback" not in err
+
+
+class TestMalformedDocuments:
+    """``infer`` on a docs.jsonl with a non-string doc_id exits 1 with a
+    one-line diagnostic, never a traceback or predictions ``eval`` rejects."""
+
+    @pytest.mark.parametrize("doc_id", [[1], {"a": 1}, 7])
+    def test_infer_exit_code(self, pipeline_dirs, tmp_path, capsys, doc_id):
+        _, _, synth_dir, pretrain_dir, _ = pipeline_dirs
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(json.dumps(
+            {"doc_id": doc_id, "sentences": [["a", "b"]], "candidates": [[0, 0, 0]]}) + "\n")
+        config = write_config(tmp_path, paths={
+            "output_dir": str(tmp_path / "runs"),
+            "ontology": str(synth_dir / "ontology.jsonl"),
+            "docs": str(docs),
+            "checkpoint": str(pretrain_dir / "checkpoint.npz"),
+        })
+        capsys.readouterr()
+        assert main(["--config", str(config), "infer"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [parse]: ")
         assert "Traceback" not in err

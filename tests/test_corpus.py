@@ -117,6 +117,13 @@ class TestAlignmentCorpusIO:
         with pytest.raises(ParseError, match="definition_id"):
             load_alignment_corpus(path)
 
+    @pytest.mark.parametrize("start, end", [(True, True), (0, False)])
+    def test_bool_span_rejected(self, tmp_path, start, end):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [alignment_record(["a", "b"], start, end, ["d"], "s1")])
+        with pytest.raises(ParseError, match=r":1: start/end must be integers"):
+            load_alignment_corpus(path)
+
     def test_conflicting_definition_text(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [
@@ -225,6 +232,23 @@ class TestDocuments:
         save_documents(docs, path)
         assert load_documents(path) == docs
 
+    @pytest.mark.parametrize("doc_id", [[1], {"a": 1}, 7, None, True])
+    def test_non_string_doc_id(self, tmp_path, doc_id):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, [
+            {"doc_id": "d1", "sentences": [["a"]], "candidates": [[0, 0, 0]]},
+            {"doc_id": doc_id, "sentences": [["a"]], "candidates": [[0, 0, 0]]},
+        ])
+        with pytest.raises(ParseError, match=r":2: doc_id must be a string"):
+            load_documents(path)
+
+    @pytest.mark.parametrize("candidate", [[False, True, True], [0, 0, True]])
+    def test_bool_in_candidate(self, tmp_path, candidate):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, [{"doc_id": "d1", "sentences": [["a", "b"]], "candidates": [candidate]}])
+        with pytest.raises(ParseError, match=r":1: candidate"):
+            load_documents(path)
+
     def test_candidate_bounds(self):
         with pytest.raises(ValidationError):
             Document("d", (("a",),), ((0, 0, 3),))
@@ -266,6 +290,15 @@ class TestMentionSets:
         write_jsonl(path, [rec, {**rec, "type_name": "u"}])
         with pytest.raises(ValidationError):
             load_gold(path)
+
+    @pytest.mark.parametrize("load, extra", [(load_gold, {}), (load_predictions, {"score": 0.5})])
+    @pytest.mark.parametrize("field", ["sentence_idx", "start", "end"])
+    def test_bool_integer_field(self, tmp_path, load, extra, field):
+        path = tmp_path / "m.jsonl"
+        rec = {"doc_id": "d", "sentence_idx": 0, "start": 1, "end": 1, "type_name": "t", **extra}
+        write_jsonl(path, [{**rec, field: True}])
+        with pytest.raises(ParseError, match=r":1: sentence_idx/start/end must be integers"):
+            load(path)
 
     def test_score_range(self):
         with pytest.raises(ValidationError):

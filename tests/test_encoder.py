@@ -540,11 +540,11 @@ class TestCheckpointValidation:
         with pytest.raises(NumericalError, match="defn.b0.ffn.w1"):
             DualEncoderModel.load(saved)
 
-    def test_index_is_not_a_checkpoint(self, tiny_model, tiny_world, tmp_path):
-        from defex.inference import build_definition_index
-
+    def test_index_is_not_a_checkpoint(self, tmp_path):
+        # a foreign archive in the checkpoint format: JSON meta, no config
         path = tmp_path / "index.npz"
-        build_definition_index(tiny_model, tiny_world[1]).save(path)
+        meta = {"format_version": 1, "fingerprint": "0" * 64, "types": []}
+        np.savez(path, meta=np.array(json.dumps(meta)), vectors=np.ones((2, 4)))
         with pytest.raises(ValidationError, match="not a model checkpoint"):
             DualEncoderModel.load(path)
 
@@ -554,6 +554,19 @@ class TestCheckpointValidation:
         path.write_bytes(content)
         with pytest.raises(ParseError):
             DualEncoderModel.load(path)
+
+    @pytest.mark.parametrize("signature, offset, value", [
+        # central directory offset past the end: members seek before the file
+        (b"PK\x05\x06", 16, (1 << 24).to_bytes(4, "little")),
+        (b"PK\x01\x02", 8, (0x40).to_bytes(2, "little")),  # a member claims strong encryption
+    ], ids=["directory-offset", "encryption-flag"])
+    def test_garbled_zip_header(self, saved, signature, offset, value):
+        content = bytearray(saved.read_bytes())
+        at = content.rfind(signature) + offset
+        content[at:at + len(value)] = value
+        saved.write_bytes(bytes(content))
+        with pytest.raises(ParseError):
+            DualEncoderModel.load(saved)
 
     def test_npy_file(self, tmp_path):
         path = tmp_path / "model.npy"

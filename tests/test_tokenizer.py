@@ -88,6 +88,18 @@ def test_identity_tokenizer():
     assert clone.pieces == tok.pieces
 
 
+@pytest.mark.parametrize("vocab_size", [0, 1, 2, 7])
+def test_identity_tokenizer_vocab_floor(vocab_size):
+    with pytest.raises(ArgumentError):
+        IdentityTokenizer.train(["a", "b", "c", "d"], vocab_size=vocab_size)
+
+
+def test_identity_tokenizer_keeps_first_words_at_budget():
+    words = [chr(97 + i) for i in range(10)]
+    tok = IdentityTokenizer.train(words, vocab_size=8)
+    assert tok.pieces[2:] == tuple(words[:6])
+
+
 def test_build_tokenizer_dispatch():
     assert build_tokenizer("identity", ["a"], 32).kind == "identity"
     assert build_tokenizer("subword", ["a"], 32).kind == "subword"

@@ -67,8 +67,10 @@ class TestTrainConfig:
         {"strong_negative_ratio": 1.5},
     ])
     def test_invalid(self, kwargs):
+        # the strong/random negative mix exists only when warming
+        cls = WarmConfig if "strong_negative_ratio" in kwargs else TrainConfig
         with pytest.raises(ArgumentError):
-            TrainConfig(**kwargs)
+            cls(**kwargs)
 
 
 class TestSampleNegatives:
@@ -224,16 +226,6 @@ class TestBatchedLoss:
         assert loss == 0.0
         for g in grads.values():
             assert np.all(g == 0.0)
-
-    def test_loss_scale_linearity(self, tiny_world, tiny_model):
-        model = tiny_model.copy()
-        items = self.make_items(tiny_world, model, n=4, seed=4)
-        batch = prepare_batch(model, items)
-        loss1, grads1, _ = loss_and_gradients(model, batch, margin=0.2, loss_scale=1.0)
-        loss2, grads2, _ = loss_and_gradients(model, batch, margin=0.2, loss_scale=2.0)
-        assert loss2 == pytest.approx(2.0 * loss1, abs=1e-12)
-        for name in grads1:
-            np.testing.assert_allclose(grads2[name], 2.0 * grads1[name], atol=1e-12)
 
     def test_one_step_decreases_loss(self, tiny_world, tiny_model):
         corpus, _, _, _ = tiny_world

@@ -43,36 +43,28 @@ def definition_states(model, tokens):
 
 class TestRetrievalConfig:
     def test_defaults(self):
-        config = RetrievalConfig()
-        assert config.similarity == "cosine"
-        assert config.retrieved_count == 1
+        assert RetrievalConfig().retrieved_count == 1
 
     def test_invalid(self):
         with pytest.raises(ArgumentError):
-            RetrievalConfig(similarity="dot")
-        with pytest.raises(ArgumentError):
             RetrievalConfig(retrieved_count=0)
-        with pytest.raises(ArgumentError):
-            RetrievalConfig(static_embedder="decoder")
 
 
 class TestStaticEmbedder:
     def test_single_token_is_that_vector(self, tiny_model):
-        embedder = StaticEmbedder(tiny_model, "definition")
+        embedder = StaticEmbedder(tiny_model)
         got = embedder.embed(["word"])
         np.testing.assert_allclose(got, definition_states(tiny_model, ["word"]).mean(axis=0),
                                    atol=1e-12)
 
     def test_repeated_call_identical(self, tiny_model):
-        embedder = StaticEmbedder(tiny_model, RetrievalConfig().static_embedder)
+        embedder = StaticEmbedder(tiny_model)
         one = embedder.embed(["some", "tokens"])
         two = embedder.embed(["some", "tokens"])
         np.testing.assert_array_equal(one, two)
 
     def test_mean_oracle(self, tiny_model):
-        from defex.encoder import DEFINITION
-
-        embedder = StaticEmbedder(tiny_model, DEFINITION)
+        embedder = StaticEmbedder(tiny_model)
         tokens = ["five", "token", "definition", "about", "things"]
         states = definition_states(tiny_model, tokens)
         oracle = np.zeros(states.shape[1])
@@ -85,7 +77,7 @@ class TestStaticEmbedder:
 
     def test_frozen_snapshot(self, tiny_model):
         model = tiny_model.copy()
-        embedder = StaticEmbedder(model, "definition")
+        embedder = StaticEmbedder(model)
         before = embedder.embed(["stable"])
         for array in model.definition_encoder.params.values():
             array += 1.0
