@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defex.corpus import Document, EventOntology
-from defex.encoder import CONTEXT, DEFINITION, cosine
+from defex.encoder import CONTEXT, DEFINITION, cosine, load_archive
 from defex.errors import (
     ArgumentError,
     DegenerateVectorError,
     FingerprintError,
     NumericalError,
+    ParseError,
     ValidationError,
 )
 from defex.inference import (
@@ -81,6 +83,42 @@ class TestBuildIndex:
         _, ontology, _, _ = tiny_world
         with pytest.raises(ValidationError):
             DefinitionIndex(ontology, np.ones((1, 8)), "fp")
+
+
+class TestIndexValidation:
+    """``load_archive`` fails with ParseError on any meta-plus-arrays
+    ``.npz`` it cannot read, not only on checkpoints."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        path = tmp_path / "index.npz"
+        np.savez(path, meta=np.array(json.dumps({"kind": "index"})), vectors=np.ones((3, 4)))
+        return path
+
+    def test_round_trip(self, saved):
+        meta, arrays = load_archive(saved, "archive")
+        assert meta == {"kind": "index"}
+        assert list(arrays) == ["vectors"]
+        np.testing.assert_array_equal(arrays["vectors"], np.ones((3, 4)))
+
+    @pytest.mark.parametrize("content", [b"", b"vectors: 1 2 3\n"])
+    def test_not_an_npz_file(self, tmp_path, content):
+        path = tmp_path / "index.npz"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_archive(path, "archive")
+
+    def test_meta_not_json(self, saved, rewrite_archive):
+        rewrite_archive(saved, lambda data: data.update({"meta": np.array("{types")}))
+        with pytest.raises(ParseError, match="meta"):
+            load_archive(saved, "archive")
+
+    def test_truncated_file(self, saved):
+        content = saved.read_bytes()
+        for size in (0, 10, len(content) // 2, len(content) - 1):
+            saved.write_bytes(content[:size])
+            with pytest.raises(ParseError):
+                load_archive(saved, "archive")
 
 
 class TestScoreMention:
