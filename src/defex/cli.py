@@ -18,8 +18,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
-import os
 import sys
 import time
 import typing
@@ -29,6 +27,7 @@ from . import __version__
 from .corpus import (
     SyntheticSpec,
     generate_synthetic_corpus,
+    json_type_check,
     load_alignment_corpus,
     load_documents,
     load_gold,
@@ -94,24 +93,11 @@ class RunConfig:
     raw: dict  # resolved plain-dict snapshot for the manifest
 
 
-def _has_type(value, kind) -> bool:
-    """JSON values come as exact built-in types: ``bool`` is not an ``int``,
-    an ``int`` is a ``float``, and a float must be finite."""
-    if kind is float and type(value) in (int, float):
-        try:
-            return math.isfinite(value)
-        except OverflowError:  # an int beyond float range
-            return False
-    return type(value) is kind
-
-
 def _check_value(key: str, value, annotation) -> None:
     """Raise :class:`ValidationError` unless ``value`` has the annotated type."""
-    kinds = typing.get_args(annotation) or (annotation,)
-    if not any(_has_type(value, kind) for kind in kinds):
-        names = " or ".join("null" if kind is type(None) else "finite float" if kind is float
-                            else kind.__name__ for kind in kinds)
-        raise ValidationError(f"config key {key!r} must be {names}, got {value!r}")
+    check, kind = json_type_check(annotation)
+    if not check(value):
+        raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 def _build_section(name: str, cls, payload, seed: int):
@@ -194,7 +180,9 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
         if not p.exists():
             raise InputNotFoundError(f"config file not found: {p}")
         try:
-            payload = json.loads(p.read_text(encoding="utf-8"))
+            payload = json.loads(p.read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file {p} is not valid UTF-8: {exc.reason}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {p} is not valid JSON: {exc.msg}") from exc
         if not isinstance(payload, dict):

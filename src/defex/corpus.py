@@ -13,16 +13,24 @@ All on-disk formats are line-delimited JSON with one record per line:
   ``start``, ``end``, ``type_name``; predictions additionally carry
   ``score``.
 
+Each field must have the JSON type its record class declares (see
+:func:`json_type_check`): a ``bool`` is not an integer, a ``score`` is a
+finite number, and keys a record does not declare are ignored.
+
 Objects are immutable after construction and safe to share between
 concurrent readers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+import math
+import typing
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import UnionType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -221,53 +229,47 @@ class PredictionRecord:
         return (self.doc_id, self.sentence_idx, self.start, self.end)
 
 
-def _check_unique_keys(records, what: str):
-    seen = set()
-    for rec in records:
-        if rec.key in seen:
-            raise ValidationError(f"duplicate span key {rec.key} in {what}")
-        seen.add(rec.key)
+@dataclass(frozen=True)
+class _SpanSet:
+    """Span records sorted, with each span key at most once."""
+
+    records: tuple
+
+    def __post_init__(self):
+        recs = tuple(sorted(self.records))
+        seen = set()
+        for rec in recs:
+            if rec.key in seen:
+                raise ValidationError(f"duplicate span key {rec.key} in {type(self).__name__}")
+            seen.add(rec.key)
+        object.__setattr__(self, "records", recs)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def keys(self) -> frozenset[SpanKey]:
+        return frozenset(r.key for r in self.records)
+
+    def typed_keys(self) -> frozenset[tuple[SpanKey, str]]:
+        return frozenset((r.key, r.type_name) for r in self.records)
 
 
 @dataclass(frozen=True)
-class GoldMentionSet:
+class GoldMentionSet(_SpanSet):
     records: tuple[MentionRecord, ...]
 
-    def __post_init__(self):
-        recs = tuple(sorted(self.records))
-        _check_unique_keys(recs, "gold mention set")
-        object.__setattr__(self, "records", recs)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def keys(self) -> frozenset[SpanKey]:
-        return frozenset(r.key for r in self.records)
-
-    def typed_keys(self) -> frozenset[tuple[SpanKey, str]]:
-        return frozenset((r.key, r.type_name) for r in self.records)
-
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(r.type_name for r in self.records)
+@dataclass(frozen=True)
+class PredictionSet(_SpanSet):
+    records: tuple[PredictionRecord, ...]
 
 
 @dataclass(frozen=True)
-class PredictionSet:
-    records: tuple[PredictionRecord, ...]
+class _OntologyLine:
+    """One ``ontology.jsonl`` record."""
 
-    def __post_init__(self):
-        recs = tuple(sorted(self.records))
-        _check_unique_keys(recs, "prediction set")
-        object.__setattr__(self, "records", recs)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def keys(self) -> frozenset[SpanKey]:
-        return frozenset(r.key for r in self.records)
-
-    def typed_keys(self) -> frozenset[tuple[SpanKey, str]]:
-        return frozenset((r.key, r.type_name) for r in self.records)
+    type_name: str
+    definition: Tokens
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +277,54 @@ class PredictionSet:
 # ---------------------------------------------------------------------------
 
 
+_JSON_NAMES = {str: "string", int: "integer", bool: "boolean", type(None): "null"}
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def json_type_check(annotation) -> tuple[Callable[[object], bool], str]:
+    """Return a predicate for "this JSON value has the annotated type" and
+    the type's name for messages.
+
+    JSON values come as exact built-in types: ``bool`` is not an ``int``, an
+    ``int`` is a ``float``, and a float must be finite.  A ``tuple`` is a JSON
+    array of one item type (``tuple[int, int, int]`` also fixes its length);
+    unions are allowed.
+    """
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, UnionType):
+        parts = [json_type_check(arg) for arg in args]
+        return (lambda v: any(check(v) for check, _ in parts)), " or ".join(n for _, n in parts)
+    if origin is tuple:  # one item type: tuple[X, ...] or tuple[X, X, X]
+        length = None if args[-1] is Ellipsis else len(args)
+        item_check, item_name = json_type_check(args[0])
+        name = f"[{item_name}, ...]" if length is None else f"[{', '.join([item_name] * length)}]"
+        if args[0] in _JSON_NAMES:  # an exact type: no Python call per item
+            kinds = {args[0]}
+            return (lambda v: type(v) is list and (length is None or len(v) == length)
+                    and kinds.issuperset(map(type, v))), name
+        return (lambda v: type(v) is list and (length is None or len(v) == length)
+                and all(map(item_check, v))), name
+    if annotation is float:
+        return _is_finite_number, "finite number"
+    return (lambda v: type(v) is annotation), _JSON_NAMES[annotation]
+
+
 def _read_lines(path) -> Iterator[tuple[int, dict]]:
     path = Path(path)
     if not path.exists():
         raise InputNotFoundError(f"input file not found: {path}")
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    with path.open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
             if not line:
                 continue
             try:
@@ -293,25 +336,35 @@ def _read_lines(path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def _field(record: dict, name: str, path, lineno: int):
-    if name not in record:
-        raise ParseError(f"{path}:{lineno}: missing field {name!r}")
-    return record[name]
+def _read_records(path, cls) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, cls(**fields))`` for each record of a JSONL file,
+    each field checked against the type ``cls`` declares for it."""
+    hints = typing.get_type_hints(cls)
+    checks = [(name, *json_type_check(hint)) for name, hint in hints.items()]
+    for lineno, record in _read_lines(path):
+        try:
+            values = {name: record[name] for name in hints}
+        except KeyError as exc:
+            raise ParseError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+        for name, check, kind in checks:
+            if not check(values[name]):
+                raise ParseError(f"{path}:{lineno}: field {name!r} must be {kind}")
+        try:
+            made = cls(**values)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        yield lineno, made
 
 
-def _token_list(value, path, lineno: int, name: str) -> Tokens:
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        raise ParseError(f"{path}:{lineno}: field {name!r} must be a string array")
-    return tuple(value)
-
-
-def _write_lines(path, records: Iterable[dict]):
+def _write_records(path, records: Iterable) -> None:
+    """Write one JSON object per dataclass record, its fields as the keys."""
     path = Path(path)
     if not path.parent.exists():
         raise InputNotFoundError(f"parent directory does not exist: {path.parent}")
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
+            row = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+            handle.write(json.dumps(row, sort_keys=True))
             handle.write("\n")
 
 
@@ -330,23 +383,8 @@ def load_alignment_corpus(path) -> AlignmentCorpus:
     instances = []
     definitions: dict[str, Tokens] = {}
     text_to_id: dict[Tokens, str] = {}
-    for lineno, record in _read_lines(path):
-        sentence = _token_list(_field(record, "sentence", path, lineno), path, lineno, "sentence")
-        definition = _token_list(
-            _field(record, "definition", path, lineno), path, lineno, "definition"
-        )
-        start = _field(record, "start", path, lineno)
-        end = _field(record, "end", path, lineno)
-        definition_id = _field(record, "definition_id", path, lineno)
-        # exact types: a JSON true/false loads as bool, which is an int subclass
-        if type(start) is not int or type(end) is not int:
-            raise ParseError(f"{path}:{lineno}: start/end must be integers")
-        if not isinstance(definition_id, str):
-            raise ParseError(f"{path}:{lineno}: definition_id must be a string")
-        try:
-            inst = AlignmentInstance(sentence, start, end, definition, definition_id)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, inst in _read_records(path, AlignmentInstance):
+        definition_id = inst.definition_id
         known = definitions.get(definition_id)
         if known is not None and known != inst.definition:
             raise ValidationError(
@@ -377,19 +415,7 @@ def save_alignment_corpus(corpus: AlignmentCorpus, path) -> None:
         raise ValidationError(
             f"cannot serialize corpus: definitions without instances: {orphans[:5]}"
         )
-    _write_lines(
-        path,
-        (
-            {
-                "sentence": list(inst.sentence),
-                "start": inst.start,
-                "end": inst.end,
-                "definition": list(inst.definition),
-                "definition_id": inst.definition_id,
-            }
-            for inst in corpus.instances
-        ),
-    )
+    _write_records(path, corpus.instances)
 
 
 def subsample_per_definition(corpus: AlignmentCorpus, k: int, seed) -> AlignmentCorpus:
@@ -421,131 +447,44 @@ def subsample_per_definition(corpus: AlignmentCorpus, k: int, seed) -> Alignment
 
 
 def load_ontology(path) -> EventOntology:
-    types = []
-    for lineno, record in _read_lines(path):
-        name = _field(record, "type_name", path, lineno)
-        definition = _token_list(
-            _field(record, "definition", path, lineno), path, lineno, "definition"
-        )
-        if not isinstance(name, str):
-            raise ParseError(f"{path}:{lineno}: type_name must be a string")
-        types.append((name, definition))
-    return EventOntology(tuple(types))
+    return EventOntology(tuple(
+        (line.type_name, line.definition) for _, line in _read_records(path, _OntologyLine)
+    ))
 
 
 def save_ontology(ontology: EventOntology, path) -> None:
-    _write_lines(
-        path,
-        ({"type_name": name, "definition": list(tokens)} for name, tokens in ontology.types),
-    )
+    _write_records(path, (_OntologyLine(*entry) for entry in ontology.types))
 
 
 def load_documents(path) -> tuple[Document, ...]:
     docs = []
     seen = set()
-    for lineno, record in _read_lines(path):
-        doc_id = _field(record, "doc_id", path, lineno)
-        sentences = _field(record, "sentences", path, lineno)
-        candidates = _field(record, "candidates", path, lineno)
-        if not isinstance(doc_id, str):
-            raise ParseError(f"{path}:{lineno}: doc_id must be a string")
-        if not isinstance(sentences, list):
-            raise ParseError(f"{path}:{lineno}: sentences must be an array")
-        sents = tuple(_token_list(s, path, lineno, "sentences") for s in sentences)
-        if not isinstance(candidates, list):
-            raise ParseError(f"{path}:{lineno}: candidates must be an array")
-        cands = []
-        for cand in candidates:
-            if not (isinstance(cand, list) and len(cand) == 3 and all(type(x) is int for x in cand)):
-                raise ParseError(f"{path}:{lineno}: candidate {cand!r} must be [sent_idx, start, end]")
-            cands.append(tuple(cand))
-        if doc_id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
-        try:
-            docs.append(Document(doc_id, sents, tuple(cands)))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, doc in _read_records(path, Document):
+        if doc.doc_id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        docs.append(doc)
     return tuple(docs)
 
 
 def save_documents(documents: Sequence[Document], path) -> None:
-    _write_lines(
-        path,
-        (
-            {
-                "doc_id": doc.doc_id,
-                "sentences": [list(s) for s in doc.sentences],
-                "candidates": [list(c) for c in doc.candidates],
-            }
-            for doc in documents
-        ),
-    )
-
-
-def _load_mention_records(path, with_score: bool):
-    records = []
-    for lineno, record in _read_lines(path):
-        args = {
-            "doc_id": _field(record, "doc_id", path, lineno),
-            "sentence_idx": _field(record, "sentence_idx", path, lineno),
-            "start": _field(record, "start", path, lineno),
-            "end": _field(record, "end", path, lineno),
-            "type_name": _field(record, "type_name", path, lineno),
-        }
-        if not isinstance(args["doc_id"], str) or not isinstance(args["type_name"], str):
-            raise ParseError(f"{path}:{lineno}: doc_id/type_name must be strings")
-        if not all(type(args[k]) is int for k in ("sentence_idx", "start", "end")):
-            raise ParseError(f"{path}:{lineno}: sentence_idx/start/end must be integers")
-        if with_score:
-            score = _field(record, "score", path, lineno)
-            if not isinstance(score, (int, float)):
-                raise ParseError(f"{path}:{lineno}: score must be a number")
-            records.append(PredictionRecord(score=float(score), **args))
-        else:
-            records.append(MentionRecord(**args))
-    return records
+    _write_records(path, documents)
 
 
 def load_gold(path) -> GoldMentionSet:
-    return GoldMentionSet(tuple(_load_mention_records(path, with_score=False)))
+    return GoldMentionSet(tuple(rec for _, rec in _read_records(path, MentionRecord)))
 
 
 def save_gold(gold: GoldMentionSet, path) -> None:
-    _write_lines(
-        path,
-        (
-            {
-                "doc_id": r.doc_id,
-                "sentence_idx": r.sentence_idx,
-                "start": r.start,
-                "end": r.end,
-                "type_name": r.type_name,
-            }
-            for r in gold.records
-        ),
-    )
+    _write_records(path, gold.records)
 
 
 def load_predictions(path) -> PredictionSet:
-    return PredictionSet(tuple(_load_mention_records(path, with_score=True)))
+    return PredictionSet(tuple(rec for _, rec in _read_records(path, PredictionRecord)))
 
 
 def save_predictions(preds: PredictionSet, path) -> None:
-    _write_lines(
-        path,
-        (
-            {
-                "doc_id": r.doc_id,
-                "sentence_idx": r.sentence_idx,
-                "start": r.start,
-                "end": r.end,
-                "type_name": r.type_name,
-                "score": r.score,
-            }
-            for r in preds.records
-        ),
-    )
+    _write_records(path, preds.records)
 
 
 def validate_against_ontology(mentions, ontology: EventOntology) -> None:

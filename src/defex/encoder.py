@@ -22,7 +22,7 @@ import math
 import json
 import zipfile
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Sequence
 

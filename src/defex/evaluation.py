@@ -15,7 +15,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,14 +27,12 @@ from .corpus import (
     PredictionRecord,
     PredictionSet,
     SpanKey,
-    all_candidate_keys,
     validate_against_ontology,
 )
 from .encoder import CONTEXT, DualEncoderModel, EncoderConfig, sub_token_range
 from .errors import ArgumentError, ValidationError
 from .inference import (
     CallCounter,
-    DefinitionIndex,
     InferenceConfig,
     build_definition_index,
     extract,
@@ -143,8 +141,8 @@ def most_popular_baseline(gold: GoldMentionSet, candidates: Sequence[SpanKey],
     rng = np.random.default_rng(seed)
     selected = _select_at_gold_rate(gold, candidates, rng)
     counts: dict[str, int] = {}
-    for name in gold.type_names():
-        counts[name] = counts.get(name, 0) + 1
+    for r in gold.records:
+        counts[r.type_name] = counts.get(r.type_name, 0) + 1
     if counts:
         majority = min(counts, key=lambda n: (-counts[n], ontology.index_of(n)))
     else:

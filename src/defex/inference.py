@@ -15,7 +15,7 @@ sweep therefore scores the corpus once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -273,6 +273,14 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "synth"]) == 2
 
+    def test_invalid_utf8_config_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        assert main(["--config", str(config), "synth"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: ") and "UTF-8" in err
+        assert "Traceback" not in err
+
 
 CONFIG_KEYS = sorted(
     ["seed", "subsample_per_definition"]
@@ -449,3 +457,18 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert err.startswith("error [parse]: ")
         assert "Traceback" not in err
+
+    def test_invalid_utf8_exits_1(self, pipeline_dirs, tmp_path, capsys):
+        _, _, synth_dir, pretrain_dir, _ = pipeline_dirs
+        docs = tmp_path / "docs.jsonl"
+        docs.write_bytes(b'{"doc_id": "d\xff", "sentences": [["a"]], "candidates": []}\n')
+        config = write_config(tmp_path, paths={
+            "output_dir": str(tmp_path / "runs"),
+            "ontology": str(synth_dir / "ontology.jsonl"),
+            "docs": str(docs),
+            "checkpoint": str(pretrain_dir / "checkpoint.npz"),
+        })
+        capsys.readouterr()
+        assert main(["--config", str(config), "infer"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [parse]: ") and "docs.jsonl:1: invalid UTF-8" in err

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defex.corpus import (
     AlignmentCorpus,
@@ -121,7 +122,7 @@ class TestAlignmentCorpusIO:
     def test_bool_span_rejected(self, tmp_path, start, end):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [alignment_record(["a", "b"], start, end, ["d"], "s1")])
-        with pytest.raises(ParseError, match=r":1: start/end must be integers"):
+        with pytest.raises(ParseError, match=r":1: field '(start|end)' must be integer"):
             load_alignment_corpus(path)
 
     def test_conflicting_definition_text(self, tmp_path):
@@ -239,14 +240,14 @@ class TestDocuments:
             {"doc_id": "d1", "sentences": [["a"]], "candidates": [[0, 0, 0]]},
             {"doc_id": doc_id, "sentences": [["a"]], "candidates": [[0, 0, 0]]},
         ])
-        with pytest.raises(ParseError, match=r":2: doc_id must be a string"):
+        with pytest.raises(ParseError, match=r":2: field 'doc_id' must be string"):
             load_documents(path)
 
     @pytest.mark.parametrize("candidate", [[False, True, True], [0, 0, True]])
     def test_bool_in_candidate(self, tmp_path, candidate):
         path = tmp_path / "docs.jsonl"
         write_jsonl(path, [{"doc_id": "d1", "sentences": [["a", "b"]], "candidates": [candidate]}])
-        with pytest.raises(ParseError, match=r":1: candidate"):
+        with pytest.raises(ParseError, match=r":1: field 'candidates' must be \[\[integer"):
             load_documents(path)
 
     def test_candidate_bounds(self):
@@ -297,12 +298,145 @@ class TestMentionSets:
         path = tmp_path / "m.jsonl"
         rec = {"doc_id": "d", "sentence_idx": 0, "start": 1, "end": 1, "type_name": "t", **extra}
         write_jsonl(path, [{**rec, field: True}])
-        with pytest.raises(ParseError, match=r":1: sentence_idx/start/end must be integers"):
+        with pytest.raises(ParseError, match=rf":1: field '{field}' must be integer"):
             load(path)
 
     def test_score_range(self):
         with pytest.raises(ValidationError):
             PredictionRecord("d", 0, 0, 0, "t", 1.5)
+
+
+VALID_LINES = {
+    load_alignment_corpus: alignment_record(["a", "b"], 0, 1, ["d"], "s1"),
+    load_ontology: {"type_name": "t", "definition": ["d"]},
+    load_documents: {"doc_id": "d1", "sentences": [["a", "b"]], "candidates": [[0, 0, 1]]},
+    load_gold: {"doc_id": "d", "sentence_idx": 0, "start": 1, "end": 1, "type_name": "t"},
+    load_predictions: {"doc_id": "d", "sentence_idx": 0, "start": 1, "end": 1, "type_name": "t",
+                       "score": 0.5},
+}
+BAD_VALUES = {  # by the JSON type a field declares
+    "integer": [True, False, "1", 1.5, None],
+    "string": [7, True, None, [1], {"a": 1}],
+    "token array": ["a b", [1], [True], None],
+    "sentences": ["a", [[1]], [["a"], "b"]],
+    "candidates": ["x", [[0, 0]], [[0, 0, 0, 0]], [[False, True, True]], [[0, 0, True]],
+                   [[0, 0.0, 0]]],
+    "score": [True, "0.5", float("inf"), float("-inf"), float("nan"), 10**400, None],
+}
+FIELD_TYPES = {
+    "sentence": "token array", "definition": "token array", "start": "integer", "end": "integer",
+    "sentence_idx": "integer", "definition_id": "string", "type_name": "string",
+    "doc_id": "string", "sentences": "sentences", "candidates": "candidates", "score": "score",
+}
+BAD_FIELD_ROWS = [
+    pytest.param(load, field, value, id=f"{load.__name__}-{field}-{value!r:.16}")
+    for load, line in VALID_LINES.items()
+    for field in line
+    for value in ["<missing>"] + BAD_VALUES[FIELD_TYPES[field]]
+]
+
+
+class TestRecordFieldTypes:
+    """Every field of every format rejects a value of the wrong JSON type with
+    a ParseError naming the line and the field."""
+
+    @pytest.mark.parametrize("load, field, value", BAD_FIELD_ROWS)
+    def test_bad_value_names_line_and_field(self, tmp_path, load, field, value):
+        bad = dict(VALID_LINES[load])
+        if value == "<missing>":
+            del bad[field]
+        else:
+            bad[field] = value
+        path = tmp_path / "f.jsonl"
+        write_jsonl(path, [VALID_LINES[load], bad])
+        with pytest.raises(ParseError, match=rf":2: (missing field|field) '{field}'"):
+            load(path)
+
+    def test_int_score_accepted(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [dict(VALID_LINES[load_predictions], score=1)])
+        assert load_predictions(path).records[0].score == 1
+
+    def test_unknown_keys_ignored(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        write_jsonl(path, [dict(VALID_LINES[load_gold], note=[1, 2])])
+        assert len(load_gold(path)) == 1
+
+    def test_record_invariant_names_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [VALID_LINES[load_predictions],
+                           dict(VALID_LINES[load_predictions], start=2, end=2, score=1.5)])
+        with pytest.raises(ValidationError, match=r":2: prediction score 1.5 outside"):
+            load_predictions(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "o.jsonl"
+        path.write_bytes(b'{"type_name": "t", "definition": ["d"]}\n{"type_name": "\xff"}\n')
+        with pytest.raises(ParseError, match=r"o.jsonl:2: invalid UTF-8"):
+            load_ontology(path)
+
+
+tokens = st.lists(st.text(max_size=6), min_size=1, max_size=5)
+names = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def alignment_corpora(draw):
+    texts = draw(st.lists(tokens, min_size=1, max_size=4, unique_by=tuple))
+    instances = []
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, len(texts) - 1))
+        sentence = draw(tokens)
+        start = draw(st.integers(0, len(sentence) - 1))
+        end = draw(st.integers(start, len(sentence) - 1))
+        instances.append(AlignmentInstance(sentence, start, end, texts[i], f"id{i}"))
+    return AlignmentCorpus(instances, {inst.definition_id: inst.definition for inst in instances})
+
+
+@st.composite
+def document_lists(draw):
+    docs = []
+    for doc_id in draw(st.lists(names, max_size=4, unique=True)):
+        sentences = draw(st.lists(tokens, min_size=1, max_size=3))
+        spans = [(i, start, end) for i, s in enumerate(sentences)
+                 for start in range(len(s)) for end in range(start, len(s))]
+        candidates = draw(st.lists(st.sampled_from(spans), max_size=5, unique=True))
+        docs.append(Document(doc_id, sentences, candidates))
+    return tuple(docs)
+
+
+span_fields = (names, st.integers(0, 2**40), st.integers(0, 50), st.integers(0, 50), names)
+mention_sets = st.lists(st.builds(MentionRecord, *span_fields), max_size=6,
+                        unique_by=lambda r: r.key).map(GoldMentionSet)
+prediction_sets = st.lists(
+    st.builds(PredictionRecord, *span_fields, st.floats(-1.0, 1.0)), max_size=6,
+    unique_by=lambda r: r.key,
+).map(PredictionSet)
+ontologies = st.lists(st.tuples(names, tokens), min_size=1, max_size=4,
+                      unique_by=lambda t: t[0]).map(EventOntology)
+
+
+class TestSaveLoadRoundTrip:
+    """save -> load gives an equal object, and saving that again gives the
+    same bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("strategy, save, load", [
+        (alignment_corpora(), save_alignment_corpus, load_alignment_corpus),
+        (ontologies, save_ontology, load_ontology),
+        (document_lists(), save_documents, load_documents),
+        (mention_sets, save_gold, load_gold),
+        (prediction_sets, save_predictions, load_predictions),
+    ], ids=["alignments", "ontology", "documents", "gold", "predictions"])
+    def test_round_trip(self, tmp_path_factory, data, strategy, save, load):
+        obj = data.draw(strategy)
+        directory = tmp_path_factory.mktemp("rt")
+        save(obj, directory / "a.jsonl")
+        loaded = load(directory / "a.jsonl")
+        assert loaded == obj
+        save(loaded, directory / "b.jsonl")
+        assert (directory / "b.jsonl").read_bytes() == (directory / "a.jsonl").read_bytes()
 
 
 class TestSyntheticGenerator:
