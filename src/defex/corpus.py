@@ -74,9 +74,6 @@ class AlignmentInstance:
                 f"length {len(self.sentence)}"
             )
 
-    def mention_tokens(self) -> Tokens:
-        return self.sentence[self.start : self.end + 1]
-
 
 @dataclass(frozen=True)
 class AlignmentCorpus:
@@ -136,7 +133,8 @@ class EventOntology:
         object.__setattr__(self, "types", norm)
         names = [name for name, _ in norm]
         if len(set(names)) != len(names):
-            raise ValidationError("ontology contains duplicate type names")
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValidationError(f"ontology contains duplicate type name {repeated!r}")
         for name, tokens in norm:
             if not name:
                 raise ValidationError("ontology contains an empty type name")
@@ -446,10 +444,28 @@ def subsample_per_definition(corpus: AlignmentCorpus, k: int, seed) -> Alignment
 # ---------------------------------------------------------------------------
 
 
+def _load_unique(path, cls, build, key, what: str):
+    """``build`` the records of a JSONL file.  If it rejects them, the file
+    is read again for the line of the first record whose ``key`` an earlier
+    record has; with no key repeated, the rejection stands."""
+    records = tuple(record for _, record in _read_records(path, cls))
+    try:
+        return build(records)
+    except ValidationError:
+        seen = set()
+        for lineno, record in _read_records(path, cls):
+            if key(record) in seen:
+                raise ValidationError(f"{path}:{lineno}: duplicate {what} {key(record)!r}") from None
+            seen.add(key(record))
+        raise
+
+
 def load_ontology(path) -> EventOntology:
-    return EventOntology(tuple(
-        (line.type_name, line.definition) for _, line in _read_records(path, _OntologyLine)
-    ))
+    return _load_unique(
+        path, _OntologyLine,
+        lambda lines: EventOntology(tuple((line.type_name, line.definition) for line in lines)),
+        lambda line: line.type_name, "type name",
+    )
 
 
 def save_ontology(ontology: EventOntology, path) -> None:
@@ -472,7 +488,7 @@ def save_documents(documents: Sequence[Document], path) -> None:
 
 
 def load_gold(path) -> GoldMentionSet:
-    return GoldMentionSet(tuple(rec for _, rec in _read_records(path, MentionRecord)))
+    return _load_unique(path, MentionRecord, GoldMentionSet, lambda rec: rec.key, "span key")
 
 
 def save_gold(gold: GoldMentionSet, path) -> None:
@@ -480,7 +496,7 @@ def save_gold(gold: GoldMentionSet, path) -> None:
 
 
 def load_predictions(path) -> PredictionSet:
-    return PredictionSet(tuple(rec for _, rec in _read_records(path, PredictionRecord)))
+    return _load_unique(path, PredictionRecord, PredictionSet, lambda rec: rec.key, "span key")
 
 
 def save_predictions(preds: PredictionSet, path) -> None:
@@ -494,15 +510,6 @@ def validate_against_ontology(mentions, ontology: EventOntology) -> None:
             raise ValidationError(
                 f"type {record.type_name!r} (at {record.key}) does not resolve in the ontology"
             )
-
-
-def all_candidate_keys(documents: Sequence[Document]) -> tuple[SpanKey, ...]:
-    """Flatten the candidate spans of a document collection into span keys."""
-    keys = []
-    for doc in documents:
-        for sent_idx, start, end in doc.candidates:
-            keys.append((doc.doc_id, sent_idx, start, end))
-    return tuple(keys)
 
 
 # ---------------------------------------------------------------------------

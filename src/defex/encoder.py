@@ -125,11 +125,6 @@ class MentionVector:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class DefinitionVector:
-    values: np.ndarray
-
-
 def cosine(u, v) -> float:
     """Cosine similarity of two non-zero vectors; raises on zero input."""
     u = np.asarray(getattr(u, "values", u), dtype=np.float64)
@@ -464,12 +459,6 @@ class DualEncoderModel:
         lo, hi = sub_token_range(word_spans, *span)
         vectors, _ = self.encode_pooled(CONTEXT, [ids], [(0, lo, hi)], counter=counter)
         return MentionVector(vectors[0])
-
-    def encode_definition(self, definition: Sequence[str], counter=None) -> DefinitionVector:
-        """Head-transformed mean over every definition sub-token."""
-        ids, _ = self.tokenizer.encode_words(definition)
-        vectors, _ = self.encode_pooled(DEFINITION, [ids], counter=counter)
-        return DefinitionVector(vectors[0])
 
     # -- persistence ----------------------------------------------------------
 

@@ -1,6 +1,11 @@
 """Span-level micro precision/recall/F1, naive baselines, the end-to-end
 pipeline helper, the ablation study, and the inference speed benchmark.
 
+:func:`run_pipeline` takes a model its caller has already pretrained and
+runs warm -> index -> extract -> eval on it.  :func:`run_ablation`
+initializes and pretrains one model per seed and runs every variant on a
+copy of it.
+
 The speed benchmark batches both of its sides the same way: disjoint
 extraction and the joint pair-wise stand-in both pool through
 :meth:`~defex.encoder.DualEncoderModel.encode_pooled`.
@@ -37,8 +42,8 @@ from .inference import (
     build_definition_index,
     extract,
 )
-from .training import TrainConfig, TrainReport, WarmConfig, pretrain
-from .warming import RetrievalConfig, WarmingPlan, build_warming_subset, warm
+from .training import TrainConfig, WarmConfig, pretrain
+from .warming import RetrievalConfig, build_warming_subset, warm
 
 IDENTIFICATION = "identification"
 CLASSIFICATION = "identification+classification"
@@ -167,63 +172,29 @@ class PipelineDataset:
     gold: GoldMentionSet
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineResult:
-    model: DualEncoderModel
     predictions: PredictionSet
     identification: EvalReport
     classification: EvalReport
-    pretrain_report: TrainReport | None = None
-    warm_report: TrainReport | None = None
-    warming_plan: WarmingPlan | None = None
-    counter: CallCounter | None = None
 
 
-def run_pipeline(dataset: PipelineDataset, encoder_config: EncoderConfig,
-                 train_config: TrainConfig, warm_config: WarmConfig | None = None,
+def run_pipeline(dataset: PipelineDataset, model: DualEncoderModel,
+                 warm_config: WarmConfig | None = None,
                  retrieval_config: RetrievalConfig | None = None,
-                 inference_config: InferenceConfig | None = None,
-                 seed: int | None = None,
-                 pretrained: DualEncoderModel | None = None) -> PipelineResult:
-    """Pretrain (or reuse), optionally warm, then extract and score.
-
-    ``seed`` overrides the seeds inside the phase configs so sweep and
-    ablation runs can share everything else.
-    """
-    corpus = dataset.corpus
-    if seed is not None:
-        train_config = replace(train_config, seed=seed)
-        if warm_config is not None:
-            warm_config = replace(warm_config, seed=seed)
-    pretrain_report = None
-    if pretrained is None:
-        model = DualEncoderModel.initialize(
-            encoder_config, corpus, train_config.seed
-        )
-        model, pretrain_report = pretrain(model, corpus, train_config)
-    else:
-        model = pretrained.copy()
-    warm_report = None
-    plan = None
+                 inference_config: InferenceConfig | None = None) -> PipelineResult:
+    """Warm (unless ``warm_config`` is None), index, extract and score an
+    already pretrained model.  Warming updates ``model`` in place."""
     if warm_config is not None:
-        retrieval_config = retrieval_config or RetrievalConfig()
-        plan = build_warming_subset(model, dataset.ontology, corpus, retrieval_config)
-        model, warm_report = warm(model, plan.corpus, plan.full_definitions, warm_config)
-    inference_config = inference_config or InferenceConfig()
-    counter = CallCounter()
-    index = build_definition_index(model, dataset.ontology, counter=counter)
-    preds, counter = extract(model, index, dataset.documents, inference_config, counter=counter)
-    report_id = micro_prf(preds, dataset.gold, IDENTIFICATION, dataset.ontology)
-    report_cls = micro_prf(preds, dataset.gold, CLASSIFICATION, dataset.ontology)
+        plan = build_warming_subset(model, dataset.ontology, dataset.corpus,
+                                    retrieval_config or RetrievalConfig())
+        warm(model, plan.corpus, plan.full_definitions, warm_config)
+    index = build_definition_index(model, dataset.ontology)
+    preds, _ = extract(model, index, dataset.documents, inference_config or InferenceConfig())
     return PipelineResult(
-        model=model,
         predictions=preds,
-        identification=report_id,
-        classification=report_cls,
-        pretrain_report=pretrain_report,
-        warm_report=warm_report,
-        warming_plan=plan,
-        counter=counter,
+        identification=micro_prf(preds, dataset.gold, IDENTIFICATION, dataset.ontology),
+        classification=micro_prf(preds, dataset.gold, CLASSIFICATION, dataset.ontology),
     )
 
 
@@ -240,7 +211,8 @@ ABLATION_VARIANTS = (FULL_VARIANT, NO_WARMING, RANDOM_NEGATIVE_WARMING)
 @dataclass(frozen=True)
 class AblationSpec:
     """Toggle matrix for the warming and strong-negative components, run
-    over shared seeds (the pretraining stage is reused across variants)."""
+    over shared seeds (each seed's pretrained model is shared by its
+    variants)."""
 
     encoder: EncoderConfig
     pretrain: TrainConfig
@@ -300,26 +272,20 @@ def run_ablation(spec: AblationSpec, dataset: PipelineDataset) -> AblationTable:
     """Run the pipeline per toggle variant with shared seeds and report
     median F1 plus deltas against the full configuration.
 
-    Pretraining does not depend on the toggles, so each seed's pretrained
-    model is computed once and shared.
+    Pretraining does not depend on the toggles, so each seed initializes and
+    pretrains one model, and every variant starts from a copy of it.
     """
     per_variant: dict[str, list[tuple[EvalReport, EvalReport]]] = {v: [] for v in ABLATION_VARIANTS}
     for seed in spec.seeds:
-        base = run_pipeline(
-            dataset, spec.encoder, replace(spec.pretrain, seed=seed),
-            warm_config=None, inference_config=spec.inference, seed=seed,
-        )
-        per_variant[NO_WARMING].append((base.identification, base.classification))
-        for variant, ratio in (
-            (FULL_VARIANT, spec.warm.strong_negative_ratio),
-            (RANDOM_NEGATIVE_WARMING, 0.0),
+        model = DualEncoderModel.initialize(spec.encoder, dataset.corpus, seed)
+        pretrain(model, dataset.corpus, replace(spec.pretrain, seed=seed))
+        for variant, warm_config in (
+            (NO_WARMING, None),
+            (FULL_VARIANT, replace(spec.warm, seed=seed)),
+            (RANDOM_NEGATIVE_WARMING, replace(spec.warm, seed=seed, strong_negative_ratio=0.0)),
         ):
-            result = run_pipeline(
-                dataset, spec.encoder, replace(spec.pretrain, seed=seed),
-                warm_config=replace(spec.warm, seed=seed, strong_negative_ratio=ratio),
-                retrieval_config=spec.retrieval, inference_config=spec.inference,
-                seed=seed, pretrained=base.model,
-            )
+            result = run_pipeline(dataset, model.copy(), warm_config, spec.retrieval,
+                                  spec.inference)
             per_variant[variant].append((result.identification, result.classification))
     rows = []
     median_id = {v: statistics.median(r[0].f1 for r in reports) for v, reports in per_variant.items()}

@@ -4,8 +4,8 @@ Each training instance contributes a hinge term per negative definition:
 ``max(0, margin - (cos(anchor, positive) - cos(anchor, negative)))``,
 averaged over the instance's negatives and then over the batch.  Gradients
 are computed analytically through cosine, pooling, the definition head, and
-both encoders; :func:`check_gradients` validates them against central
-finite differences.
+both encoders; the tests compare them with central finite differences
+(``check_gradients`` in ``tests/helpers.py``).
 
 A step encodes each distinct definition token sequence once, however many
 instances use it as positive or negative and under whichever ids; each
@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import AlignmentCorpus, AlignmentInstance, Tokens
-from .encoder import CONTEXT, DEFINITION, DualEncoderModel, cosine, sub_token_range
+from .encoder import CONTEXT, DEFINITION, DualEncoderModel, sub_token_range
 from .errors import (
     ArgumentError,
     ConfigurationError,
@@ -83,29 +83,6 @@ class TrainReport:
         losses = np.asarray(self.epoch_losses, dtype=np.float64)
         if losses.size and (not np.all(np.isfinite(losses)) or np.any(losses < 0)):
             raise NumericalError("epoch losses must be finite and non-negative")
-
-
-# ---------------------------------------------------------------------------
-# loss
-# ---------------------------------------------------------------------------
-
-
-def ranking_loss(anchor, positive, negatives, margin: float) -> float:
-    """Reference evaluation of the per-instance hinge objective.
-
-    This is the simple pairwise-cosine formulation; the training loop uses a
-    batched path that must agree with it (see the tests).
-    """
-    if margin <= 0:
-        raise ArgumentError("margin must be positive")
-    negatives = list(negatives)
-    if not negatives:
-        raise ArgumentError("at least one negative definition vector is required")
-    pos = cosine(anchor, positive)
-    total = 0.0
-    for neg in negatives:
-        total += max(0.0, margin - (pos - cosine(anchor, neg)))
-    return total / len(negatives)
 
 
 # ---------------------------------------------------------------------------
@@ -175,32 +152,23 @@ def prepare_batch(model: DualEncoderModel, items: Sequence[BatchItem]) -> Prepar
     return PreparedBatch(ctx_seqs, span_ranges, def_seqs, n_negatives)
 
 
-def _batch_vectors(model: DualEncoderModel, batch: PreparedBatch, keep_caches: bool):
+def _batch_vectors(model: DualEncoderModel, batch: PreparedBatch):
     """Anchors (B, dim) and definition vectors (B, 1 + negatives, dim) for a
     prepared batch, plus the two sides' backward functions.  The definition
     backward takes one gradient row per slot of ``batch.def_seqs``."""
     ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
-    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=keep_caches)
+    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=True)
     row_of: dict[tuple[int, ...], int] = {}
     slot_rows = np.array([row_of.setdefault(tuple(seq), len(row_of)) for seq in batch.def_seqs])
-    distinct, back_distinct = model.encode_pooled(DEFINITION, list(row_of),
-                                                  keep_caches=keep_caches)
+    distinct, back_distinct = model.encode_pooled(DEFINITION, list(row_of), keep_caches=True)
     defvecs = distinct[slot_rows].reshape(batch.size, 1 + batch.n_negatives, -1)
-    back_d = None
-    if keep_caches:
-        def back_d(d_slots: np.ndarray) -> dict[str, np.ndarray]:
-            d_distinct = np.zeros_like(distinct)
-            np.add.at(d_distinct, slot_rows, d_slots)
-            return back_distinct(d_distinct)
+
+    def back_d(d_slots: np.ndarray) -> dict[str, np.ndarray]:
+        d_distinct = np.zeros_like(distinct)
+        np.add.at(d_distinct, slot_rows, d_slots)
+        return back_distinct(d_distinct)
 
     return anchors, defvecs, (back_c, back_d)
-
-
-def batch_loss(model: DualEncoderModel, batch: PreparedBatch, margin: float):
-    """Forward-only batch loss; returns (loss, diagnostics)."""
-    anchors, defvecs, _ = _batch_vectors(model, batch, keep_caches=False)
-    loss, _, _, diag = _hinge_terms(anchors, defvecs, margin)
-    return loss, diag
 
 
 def _hinge_terms(anchors, defvecs, margin):
@@ -231,7 +199,7 @@ def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: fl
     Returns ``(loss, grads, diagnostics)`` where ``grads`` is keyed like
     ``model.parameters()``.
     """
-    anchors, defvecs, (back_c, back_d) = _batch_vectors(model, batch, keep_caches=True)
+    anchors, defvecs, (back_c, back_d) = _batch_vectors(model, batch)
     loss, active, geometry, diag = _hinge_terms(anchors, defvecs, margin)
     positives, negatives, norm_a, norm_p, norm_n, cos_pos, cos_neg = geometry
     b, k = cos_neg.shape
@@ -317,67 +285,3 @@ def pretrain(model: DualEncoderModel, corpus: AlignmentCorpus,
     report = run_training_loop(model, corpus.instances, sampler, config)
     return model, report
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def sample_kink_free_batch(model: DualEncoderModel, corpus: AlignmentCorpus,
-                           config: TrainConfig, rng, kink_tol: float = 1e-3,
-                           max_tries: int = 100) -> list[BatchItem]:
-    """Sample a batch whose hinge terms all sit safely away from the kink,
-    so finite differences are trustworthy."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    sampler = uniform_negative_sampler(corpus.definitions, config.n_negatives)
-    for _ in range(max_tries):
-        idx = rng.choice(len(corpus.instances), size=min(config.batch_size, len(corpus.instances)), replace=False)
-        items = [
-            (corpus.instances[int(i)], sampler(corpus.instances[int(i)].definition_id, rng))
-            for i in idx
-        ]
-        batch = prepare_batch(model, items)
-        _, diag = batch_loss(model, batch, config.margin)
-        if np.all(np.abs(config.margin - diag["gaps"]) >= kink_tol):
-            return items
-    raise ConfigurationError(
-        f"could not sample a kink-free batch in {max_tries} tries; "
-        "loosen kink_tol or change the corpus"
-    )
-
-
-def check_gradients(model: DualEncoderModel, items: Sequence[BatchItem], margin: float,
-                    n_coordinates: int = 200, step: float = 1e-4, seed: int = 0) -> float:
-    """Compare analytic parameter gradients against central finite
-    differences on a random coordinate subset; returns the max relative
-    error.  Diagnostic only: never raises on disagreement.
-    """
-    batch = prepare_batch(model, items)
-    _, grads, _ = loss_and_gradients(model, batch, margin)
-    params = model.parameters()
-    coords = []
-    for name in sorted(params):
-        for flat in range(params[name].size):
-            coords.append((name, flat))
-    rng = np.random.default_rng(seed)
-    if len(coords) > n_coordinates:
-        chosen = rng.choice(len(coords), size=n_coordinates, replace=False)
-        coords = [coords[int(i)] for i in chosen]
-    worst = 0.0
-    for name, flat in coords:
-        array = params[name]
-        original = array.flat[flat]
-        h = step * max(1.0, abs(original))
-        array.flat[flat] = original + h
-        plus, _ = batch_loss(model, batch, margin)
-        array.flat[flat] = original - h
-        minus, _ = batch_loss(model, batch, margin)
-        array.flat[flat] = original
-        numeric = (plus - minus) / (2.0 * h)
-        analytic = grads[name].flat[flat]
-        scale = max(abs(analytic), abs(numeric))
-        if scale < 1e-12:
-            continue
-        worst = max(worst, abs(analytic - numeric) / max(scale, 1e-8))
-    return worst

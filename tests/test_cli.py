@@ -243,6 +243,22 @@ class TestInferEvalBench:
         assert main(["--config", str(config), "--set", f"paths.predictions={preds_path}",
                      "eval"]) == 1
 
+    def test_eval_duplicate_span_key(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        synth_dir = synth(tmp_path, config)
+        record = json.loads((synth_dir / "gold.jsonl").read_text().splitlines()[0])
+        preds_path = tmp_path / "dup.jsonl"
+        preds_path.write_text("".join(json.dumps({**record, "score": score}) + "\n"
+                                      for score in (0.9, 0.8)))
+        config = write_config(tmp_path, paths={
+            "output_dir": str(tmp_path / "runs"),
+            "gold": str(synth_dir / "gold.jsonl"),
+            "ontology": str(synth_dir / "ontology.jsonl"),
+        })
+        assert main(["--config", str(config), "--set", f"paths.predictions={preds_path}",
+                     "eval"]) == 1
+        assert f"{preds_path}:2: duplicate span key" in capsys.readouterr().err
+
     def test_bench(self, pipeline_dirs):
         tmp_path, config, synth_dir, pretrain_dir, warm_dir = pipeline_dirs
         assert main(["--config", str(config), "bench", "--repetitions", "3"]) == 0

@@ -14,7 +14,6 @@ from defex.corpus import (
     PredictionRecord,
     PredictionSet,
     SyntheticSpec,
-    all_candidate_keys,
     generate_synthetic_corpus,
     load_alignment_corpus,
     load_documents,
@@ -37,6 +36,8 @@ from defex.errors import (
     ValidationError,
 )
 
+from helpers import all_candidate_keys, mention_tokens
+
 
 def write_jsonl(path, records):
     with open(path, "w") as fh:
@@ -57,7 +58,7 @@ def alignment_record(sentence, start, end, definition, definition_id):
 class TestAlignmentInstance:
     def test_valid(self):
         inst = AlignmentInstance(("a", "b"), 0, 1, ("d",), "x")
-        assert inst.mention_tokens() == ("a", "b")
+        assert mention_tokens(inst) == ("a", "b")
 
     @pytest.mark.parametrize("start,end", [(3, 2), (-1, 0), (0, 5)])
     def test_span_out_of_bounds(self, start, end):
@@ -374,6 +375,35 @@ class TestRecordFieldTypes:
         path.write_bytes(b'{"type_name": "t", "definition": ["d"]}\n{"type_name": "\xff"}\n')
         with pytest.raises(ParseError, match=r"o.jsonl:2: invalid UTF-8"):
             load_ontology(path)
+
+
+class TestDuplicateKeys:
+    """A repeated span key or type name is reported at the file and line of
+    its second occurrence."""
+
+    @pytest.mark.parametrize("load, change, message", [
+        pytest.param(load, change, message, id=load.__name__) for load, change, message in (
+            (load_gold, {"type_name": "u"}, "duplicate span key ('d', 0, 1, 1)"),
+            (load_predictions, {"score": 0.25}, "duplicate span key ('d', 0, 1, 1)"),
+            (load_ontology, {"definition": ["e"]}, "duplicate type name 't'"),
+        )
+    ])
+    def test_names_file_and_line(self, tmp_path, load, change, message):
+        path = tmp_path / "f.jsonl"
+        write_jsonl(path, [VALID_LINES[load], dict(VALID_LINES[load], **change)])
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_other_rejection_stands(self, tmp_path):
+        path = tmp_path / "o.jsonl"
+        write_jsonl(path, [VALID_LINES[load_ontology], {"type_name": "", "definition": ["d"]}])
+        with pytest.raises(ValidationError, match="^ontology contains an empty type name$"):
+            load_ontology(path)
+
+    def test_ontology_constructor_names_the_type(self):
+        with pytest.raises(ValidationError, match="duplicate type name 'b'"):
+            EventOntology((("a", ("x",)), ("b", ("y",)), ("b", ("z",))))
 
 
 tokens = st.lists(st.text(max_size=6), min_size=1, max_size=5)

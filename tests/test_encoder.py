@@ -26,6 +26,8 @@ from defex.errors import (
 )
 from defex.tokenizer import PAD, UNK, SubwordTokenizer
 
+from helpers import encode_definition
+
 
 class TestEncoderConfig:
     def test_defaults_valid(self):
@@ -234,15 +236,15 @@ class TestEncodePooled:
 class TestEncodeDefinition:
     def test_deterministic(self, tiny_model):
         tokens = ["a", "sense", "definition"]
-        one = tiny_model.encode_definition(tokens)
-        two = tiny_model.encode_definition(tokens)
+        one = encode_definition(tiny_model, tokens)
+        two = encode_definition(tiny_model, tokens)
         np.testing.assert_array_equal(one.values, two.values)
 
     def test_identity_head_single_token(self, tiny_model):
         model = tiny_model.copy()
         model.ffn_head = IdentityHead()
         states, _ = sequence_states(model, DEFINITION, ["word"])
-        out = model.encode_definition(["word"])
+        out = encode_definition(model, ["word"])
         np.testing.assert_allclose(out.values, states.mean(axis=0), atol=1e-12)
 
     def test_matches_per_token_oracle(self, tiny_model):
@@ -257,12 +259,12 @@ class TestEncodeDefinition:
             act = 0.5 * pre * (1.0 + erf(pre / np.sqrt(2.0)))
             total += act @ head["w2"] + head["b2"]
         oracle = total / states.shape[0]
-        got = tiny_model.encode_definition(tokens)
+        got = encode_definition(tiny_model, tokens)
         np.testing.assert_allclose(got.values, oracle, atol=1e-10)
 
     def test_empty_rejected(self, tiny_model):
         with pytest.raises(ArgumentError):
-            tiny_model.encode_definition([])
+            encode_definition(tiny_model, [])
 
 
 class TestCosine:
@@ -337,8 +339,8 @@ class TestCheckpoint:
             sequence_states(tiny_model, CONTEXT, words)[0],
         )
         np.testing.assert_array_equal(
-            loaded.encode_definition(words).values,
-            tiny_model.encode_definition(words).values,
+            encode_definition(loaded, words).values,
+            encode_definition(tiny_model, words).values,
         )
 
     def test_version_mismatch_rejected(self, tiny_model, tmp_path):

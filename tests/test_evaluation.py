@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from defex import evaluation
 from defex.corpus import (
     EventOntology,
     GoldMentionSet,
@@ -10,10 +11,9 @@ from defex.corpus import (
     PredictionRecord,
     PredictionSet,
     SyntheticSpec,
-    all_candidate_keys,
     generate_synthetic_corpus,
 )
-from defex.encoder import EncoderConfig
+from defex.encoder import DualEncoderModel, EncoderConfig
 from defex.errors import ArgumentError, ValidationError
 from defex.evaluation import (
     CLASSIFICATION,
@@ -29,7 +29,7 @@ from defex.evaluation import (
     speed_benchmark,
 )
 from defex.inference import InferenceConfig
-from defex.training import TrainConfig, WarmConfig
+from defex.training import TrainConfig, WarmConfig, pretrain
 from defex.warming import RetrievalConfig
 
 
@@ -248,15 +248,44 @@ def small_pipeline_dataset():
 SMALL_ENCODER = EncoderConfig(vocab_size=512, embedding_dim=32, n_layers=1, n_heads=4)
 
 
+@pytest.fixture(scope="module")
+def small_pretrained(small_pipeline_dataset):
+    corpus = small_pipeline_dataset.corpus
+    model = DualEncoderModel.initialize(SMALL_ENCODER, corpus, 0)
+    return pretrain(model, corpus, TrainConfig(epochs=2))[0]
+
+
 class TestPipelineAndAblation:
-    def test_run_pipeline_smoke(self, small_pipeline_dataset):
-        result = run_pipeline(
-            small_pipeline_dataset, SMALL_ENCODER,
-            TrainConfig(epochs=2), warm_config=WarmConfig(epochs=1), seed=0,
-        )
+    def test_run_pipeline_smoke(self, small_pipeline_dataset, small_pretrained):
+        model = small_pretrained.copy()
+        result = run_pipeline(small_pipeline_dataset, model, WarmConfig(epochs=1))
+        gold, ontology = small_pipeline_dataset.gold, small_pipeline_dataset.ontology
         assert result.identification.f1 >= result.classification.f1 - 1e-12
-        assert result.counter.definition_encoder_calls == len(small_pipeline_dataset.ontology)
-        assert result.warming_plan is not None
+        assert result.identification == micro_prf(result.predictions, gold, IDENTIFICATION, ontology)
+        assert result.classification == micro_prf(result.predictions, gold, CLASSIFICATION, ontology)
+        # warming ran, on the model passed in
+        assert model.fingerprint() != small_pretrained.fingerprint()
+
+    def test_ablation_pretrains_once_per_seed(self, small_pipeline_dataset, monkeypatch):
+        spec = AblationSpec(encoder=SMALL_ENCODER, pretrain=TrainConfig(epochs=2),
+                            warm=WarmConfig(epochs=1), seeds=(0, 1))
+        pretrained = []
+
+        def counting_pretrain(model, corpus, config):
+            model, report = pretrain(model, corpus, config)
+            pretrained.append((config.seed, model.copy()))
+            return model, report
+
+        monkeypatch.setattr(evaluation, "pretrain", counting_pretrain)
+        table = run_ablation(spec, small_pipeline_dataset)
+        assert [seed for seed, _ in pretrained] == list(spec.seeds)
+        for i, (seed, model) in enumerate(pretrained):
+            for variant, warm_config in (("no_warming", None),
+                                         ("full", dataclasses.replace(spec.warm, seed=seed))):
+                direct = run_pipeline(small_pipeline_dataset, model.copy(), warm_config,
+                                      spec.retrieval, spec.inference)
+                assert table.row(variant).per_seed[i] == (direct.identification,
+                                                          direct.classification)
 
     def test_ablation_table_structure(self, small_pipeline_dataset):
         spec = AblationSpec(

@@ -28,6 +28,8 @@ from defex.inference import (
     threshold_sweep,
 )
 
+from helpers import encode_definition
+
 
 class TestInferenceConfig:
     def test_default(self):
@@ -159,7 +161,7 @@ class TestScoreMention:
         mention = tiny_model.mention_vector(sentence, span).values
         for (name, got), (expected_name, definition) in zip(scores, ontology.types):
             assert name == expected_name
-            want = cosine(mention, tiny_model.encode_definition(definition).values)
+            want = cosine(mention, encode_definition(tiny_model, definition).values)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_stale_index_rejected(self, tiny_model, tiny_world):
@@ -263,8 +265,8 @@ class TestExtract:
 
 def reference_extract(model, ontology, documents, threshold):
     """Per-candidate extraction: one ``mention_vector`` per candidate and
-    ``cosine`` against each ``encode_definition``."""
-    definitions = [model.encode_definition(d).values for _, d in ontology.types]
+    ``cosine`` against each ``helpers.encode_definition``."""
+    definitions = [encode_definition(model, d).values for _, d in ontology.types]
     records = []
     for doc in documents:
         for sent_idx in sorted({c[0] for c in doc.candidates}):

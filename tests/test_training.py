@@ -13,15 +13,19 @@ from defex.training import (
     TrainConfig,
     TrainReport,
     WarmConfig,
-    batch_loss,
-    check_gradients,
     loss_and_gradients,
     prepare_batch,
     pretrain,
-    ranking_loss,
-    sample_kink_free_batch,
     sample_negatives,
     uniform_negative_sampler,
+)
+
+from helpers import (
+    batch_loss,
+    check_gradients,
+    encode_definition,
+    ranking_loss,
+    sample_kink_free_batch,
 )
 
 
@@ -195,8 +199,8 @@ class TestBatchedLoss:
         per_instance = []
         for inst, negatives in items:
             anchor = tiny_model.mention_vector(inst.sentence, (inst.start, inst.end)).values
-            positive = tiny_model.encode_definition(inst.definition).values
-            neg_vecs = [tiny_model.encode_definition(tokens).values for _, tokens in negatives]
+            positive = encode_definition(tiny_model, inst.definition).values
+            neg_vecs = [encode_definition(tiny_model, tokens).values for _, tokens in negatives]
             per_instance.append(ranking_loss(anchor, positive, neg_vecs, 0.2))
         assert loss == pytest.approx(float(np.mean(per_instance)), abs=1e-10)
 
@@ -253,12 +257,12 @@ class TestBatchedLoss:
         assert passed
 
 
-def pool_every_slot(model, batch, keep_caches):
+def pool_every_slot(model, batch):
     """Reference for ``training._batch_vectors``: every definition slot of
     the batch pooled as its own sequence through ``encode_pooled``."""
     ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
-    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=keep_caches)
-    defvecs, back_d = model.encode_pooled(DEFINITION, batch.def_seqs, keep_caches=keep_caches)
+    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=True)
+    defvecs, back_d = model.encode_pooled(DEFINITION, batch.def_seqs, keep_caches=True)
     return anchors, defvecs.reshape(batch.size, 1 + batch.n_negatives, -1), (back_c, back_d)
 
 
