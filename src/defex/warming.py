@@ -212,15 +212,19 @@ def warm_with_gold(model: DualEncoderModel, gold: GoldMentionSet,
     """Fine-tune on annotated mentions instead of retrieved instances.
 
     Strong negatives are the other ontology definitions; when an alignment
-    inventory is supplied it widens the random pool.
+    inventory is supplied it widens the random pool, less its entries that
+    repeat an ontology definition's text under another id (else a mention's
+    own definition could be drawn as its negative).
     """
     if len(gold.records) == 0:
         raise ConfigurationError("gold mention set is empty; nothing to fine-tune on")
     instances, ontology_defs = gold_alignment_instances(gold, documents, ontology)
     full = dict(ontology_defs)
     if corpus_definitions:
+        ontology_texts = set(ontology_defs.values())
         for did, tokens in corpus_definitions.items():
-            full.setdefault(did, tuple(tokens))
+            if tuple(tokens) not in ontology_texts:
+                full.setdefault(did, tuple(tokens))
     sampler = mixed_negative_sampler(
         full, ontology_defs.keys(), config.n_negatives, config.strong_negative_ratio
     )

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from defex import warming
 from defex.corpus import (
     AlignmentCorpus,
     AlignmentInstance,
@@ -12,7 +13,7 @@ from defex.corpus import (
     MentionRecord,
 )
 from defex.errors import ArgumentError, ConfigurationError, ValidationError
-from defex.training import TrainConfig, WarmConfig, pretrain, uniform_negative_sampler
+from defex.training import TrainConfig, TrainReport, WarmConfig, pretrain, uniform_negative_sampler
 from defex.warming import (
     ONTOLOGY_ID_PREFIX,
     RetrievalConfig,
@@ -294,3 +295,23 @@ class TestWarmWithGold:
         model, report = warm_with_gold(model, gold, docs, ontology,
                                        WarmConfig(epochs=2, seed=0))
         assert len(report.epoch_losses) == 2
+
+    def test_no_negative_has_its_positive_text(self, tiny_model, tiny_world, monkeypatch):
+        # the corpus inventory holds each ontology definition under a
+        # ``def:`` id of its own
+        corpus, ontology, docs, gold = tiny_world
+        drawn = []
+
+        def drawing_loop(model, instances, sampler, config):
+            rng = np.random.default_rng(0)
+            for _ in range(50):
+                for inst in instances:
+                    drawn.extend((inst, neg) for neg in sampler(inst.definition_id, rng))
+            return TrainReport((0.0,), (0.0,))
+
+        monkeypatch.setattr(warming, "run_training_loop", drawing_loop)
+        warm_with_gold(tiny_model.copy(), gold, docs, ontology, WarmConfig(), corpus.definitions)
+        assert len(drawn) == 50 * len(gold.records) * WarmConfig().n_negatives
+        assert all(tokens != inst.definition for inst, (_, tokens) in drawn)
+        # the inventory's other definitions stay in the random pool
+        assert any(not did.startswith(ONTOLOGY_ID_PREFIX) for _, (did, _) in drawn)
