@@ -172,7 +172,7 @@ class PipelineDataset:
     gold: GoldMentionSet
 
 
-@dataclass(frozen=True)
+@dataclass
 class PipelineResult:
     predictions: PredictionSet
     identification: EvalReport
@@ -211,8 +211,7 @@ ABLATION_VARIANTS = (FULL_VARIANT, NO_WARMING, RANDOM_NEGATIVE_WARMING)
 @dataclass(frozen=True)
 class AblationSpec:
     """Toggle matrix for the warming and strong-negative components, run
-    over shared seeds (each seed's pretrained model is shared by its
-    variants)."""
+    over shared seeds (the pretraining stage is reused across variants)."""
 
     encoder: EncoderConfig
     pretrain: TrainConfig

@@ -398,7 +398,7 @@ class TestDuplicateKeys:
     def test_other_rejection_stands(self, tmp_path):
         path = tmp_path / "o.jsonl"
         write_jsonl(path, [VALID_LINES[load_ontology], {"type_name": "", "definition": ["d"]}])
-        with pytest.raises(ValidationError, match="^ontology contains an empty type name$"):
+        with pytest.raises(ValidationError, match="empty type name"):
             load_ontology(path)
 
     def test_ontology_constructor_names_the_type(self):
