@@ -269,6 +269,12 @@ class _OntologyLine:
     type_name: str
     definition: Tokens
 
+    def __post_init__(self):
+        if not self.type_name:
+            raise ValidationError("ontology contains an empty type name")
+        if not self.definition:
+            raise ValidationError(f"type {self.type_name!r} has an empty definition")
+
 
 # ---------------------------------------------------------------------------
 # jsonl helpers

@@ -287,7 +287,8 @@ class DualEncoderModel:
         self.context_encoder = context_encoder
         self.definition_encoder = definition_encoder
         self.ffn_head = ffn_head
-        # (header, layout, tensor bytes, hex digest) of the last fingerprint
+        # (header sources, header, name -> tensor bytes, hex digest) of the
+        # last fingerprint
         self._hashed = None
 
     # -- construction -------------------------------------------------------
@@ -330,35 +331,43 @@ class DualEncoderModel:
         sha256 over the config and tokenizer JSON, the head kind, then each
         parameter's name and bytes in name order.
 
-        The digest is kept with an exact copy of what it hashed, plus each
-        parameter's dtype and shape.  A later call compares the current
-        state with that copy tensor by tensor and returns the kept digest
-        only if every byte is the same; any difference, an in-place write
-        included, hashes again.  Bytes, not floats, are compared, so ``0.0``
-        -> ``-0.0`` or a changed NaN payload is a new state.
+        The digest is kept with the serialized header, the objects it was
+        built from (``config``, ``tokenizer``, ``tokenizer.pieces`` and the
+        head kind) and an exact copy of every parameter's bytes.  A later
+        call serializes the header again only if one of those objects was
+        replaced; they are compared by identity, not ``==``, because equal
+        configs can serialize differently (``0.0 == -0.0``).  It returns the
+        kept digest only if the parameter names are the same set and each
+        parameter's bytes are the same; any byte difference, from an
+        in-place write or a dtype or shape change, hashes again.  Bytes, not
+        floats, are compared, so ``0.0`` -> ``-0.0`` or a changed NaN
+        payload is a new state.
         """
-        header = b"".join((
-            json.dumps(asdict(self.config), sort_keys=True).encode(),
-            json.dumps(self.tokenizer.to_dict(), sort_keys=True).encode(),
-            self.ffn_head.kind.encode(),
-        ))
+        sources = (self.config, self.tokenizer, self.tokenizer.pieces, self.ffn_head.kind)
         params = self.parameters()
-        names = sorted(params)
-        layout = [(name, params[name].dtype, params[name].shape) for name in names]
+        header = None
         if self._hashed is not None:
-            kept_header, kept_layout, kept_bytes, kept_digest = self._hashed
-            if kept_header == header and kept_layout == layout and all(
-                params[name].tobytes() == blob for name, blob in zip(names, kept_bytes)
-            ):
-                return kept_digest
-        self._hashed = None  # drop the old copy before taking the new one
-        blobs = [params[name].tobytes() for name in names]
+            kept_sources, kept_header, kept_bytes, kept_digest = self._hashed
+            if all(now is then for now, then in zip(sources, kept_sources)):
+                header = kept_header
+                if params.keys() == kept_bytes.keys() and all(
+                    params[name].tobytes() == blob for name, blob in kept_bytes.items()
+                ):
+                    return kept_digest
+            self._hashed = kept_bytes = None  # drop the old copy before taking the new one
+        if header is None:
+            header = b"".join((
+                json.dumps(asdict(self.config), sort_keys=True).encode(),
+                json.dumps(self.tokenizer.to_dict(), sort_keys=True).encode(),
+                self.ffn_head.kind.encode(),
+            ))
+        blobs = {name: params[name].tobytes() for name in sorted(params)}
         digest = hashlib.sha256(header)
-        for name, blob in zip(names, blobs):
+        for name, blob in blobs.items():
             digest.update(name.encode())
             digest.update(blob)
         hexdigest = digest.hexdigest()
-        self._hashed = (header, layout, blobs, hexdigest)
+        self._hashed = (sources, header, blobs, hexdigest)
         return hexdigest
 
     # -- encoding -----------------------------------------------------------

@@ -7,6 +7,9 @@ Two interchangeable schemes:
   longest-match from the left.  Lowercases its input.  Fitting counts the
   adjacent pairs of the distinct words once and keeps the counts
   incrementally, re-counting after each merge only the words it touched.
+  ``encode_words`` matches each distinct word once per tokenizer and keeps
+  its piece ids as a tuple, so later sequences reuse them;
+  ``encode_word`` is the uncached match.
 * :class:`IdentityTokenizer` -- one id per distinct (lowercased) word of the
   fitting corpus; out-of-vocabulary words map to the unknown id.
 
@@ -94,6 +97,7 @@ class SubwordTokenizer:
         if len(self.piece_to_id) != len(self.pieces):
             raise ValidationError("piece table contains duplicates")
         self._max_piece = max(len(p) for p in self.pieces)
+        self._word_ids: dict[str, tuple[int, ...]] = {}  # word -> encode_word, filled on use
 
     @classmethod
     def train(cls, words: Iterable[str], vocab_size: int = 512) -> "SubwordTokenizer":
@@ -145,8 +149,11 @@ class SubwordTokenizer:
             raise ArgumentError("cannot encode an empty word sequence")
         ids: list[int] = []
         spans: list[tuple[int, int]] = []
+        cache = self._word_ids
         for word in words:
-            sub = self.encode_word(word)
+            sub = cache.get(word)
+            if sub is None:
+                sub = cache[word] = tuple(self.encode_word(word))
             spans.append((len(ids), len(ids) + len(sub) - 1))
             ids.extend(sub)
         return ids, spans

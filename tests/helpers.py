@@ -1,9 +1,11 @@
 """Reference code the tests check the package against: the scalar ranking
 loss, a forward-only batch loss, a finite-difference gradient check, the
-one-definition encoder and small record helpers.  None of it runs in the
-package itself."""
+one-definition encoder, the from-scratch model fingerprint and small record
+helpers.  None of it runs in the package itself."""
 
-from dataclasses import dataclass
+import hashlib
+import json
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -109,3 +111,18 @@ def all_candidate_keys(documents: Sequence[Document]) -> tuple[SpanKey, ...]:
     """The candidate spans of a document collection as span keys."""
     return tuple((doc.doc_id, s, start, end)
                  for doc in documents for s, start, end in doc.candidates)
+
+
+def reference_fingerprint(model):
+    """The digest computed from scratch: sha256 over the config JSON, the
+    tokenizer JSON, the head kind, then each parameter's name and bytes in
+    name order."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps(asdict(model.config), sort_keys=True).encode())
+    digest.update(json.dumps(model.tokenizer.to_dict(), sort_keys=True).encode())
+    digest.update(model.ffn_head.kind.encode())
+    params = model.parameters()
+    for name in sorted(params):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(params[name]).tobytes())
+    return digest.hexdigest()

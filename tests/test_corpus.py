@@ -398,8 +398,16 @@ class TestDuplicateKeys:
     def test_other_rejection_stands(self, tmp_path):
         path = tmp_path / "o.jsonl"
         write_jsonl(path, [VALID_LINES[load_ontology], {"type_name": "", "definition": ["d"]}])
-        with pytest.raises(ValidationError, match="empty type name"):
+        with pytest.raises(ValidationError) as info:
             load_ontology(path)
+        assert str(info.value) == f"{path}:2: ontology contains an empty type name"
+
+    def test_empty_definition_names_line(self, tmp_path):
+        path = tmp_path / "o.jsonl"
+        write_jsonl(path, [VALID_LINES[load_ontology], {"type_name": "u", "definition": []}])
+        with pytest.raises(ValidationError) as info:
+            load_ontology(path)
+        assert str(info.value) == f"{path}:2: type 'u' has an empty definition"
 
     def test_ontology_constructor_names_the_type(self):
         with pytest.raises(ValidationError, match="duplicate type name 'b'"):

@@ -1,5 +1,3 @@
-import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -26,7 +24,7 @@ from defex.errors import (
 )
 from defex.tokenizer import PAD, UNK, SubwordTokenizer
 
-from helpers import encode_definition
+from helpers import encode_definition, reference_fingerprint
 
 
 class TestEncoderConfig:
@@ -343,6 +341,20 @@ class TestCheckpoint:
             encode_definition(tiny_model, words).values,
         )
 
+    def test_roundtrip_after_warm_word_cache(self, tiny_model, tmp_path):
+        model = tiny_model.copy()
+        model.tokenizer = SubwordTokenizer(model.tokenizer.pieces)
+        table = model.tokenizer.to_dict()
+        words = ["Round", "trip", "round", "TRIP", "zq"]
+        warm = model.tokenizer.encode_words(words)
+        assert model.tokenizer.to_dict() == table
+        path = tmp_path / "model.npz"
+        model.save(path)
+        loaded = DualEncoderModel.load(path)
+        assert loaded.tokenizer.to_dict() == table
+        assert loaded.fingerprint() == model.fingerprint() == reference_fingerprint(model)
+        assert loaded.tokenizer.encode_words(words) == warm
+
     def test_version_mismatch_rejected(self, tiny_model, tmp_path):
         import json
 
@@ -367,21 +379,6 @@ class TestCheckpoint:
         before = model.fingerprint()
         model.context_encoder.params["emb"][0, 0] += 1e-9
         assert model.fingerprint() != before
-
-
-def reference_fingerprint(model):
-    """The digest computed from scratch: sha256 over the config JSON, the
-    tokenizer JSON, the head kind, then each parameter's name and bytes in
-    name order."""
-    digest = hashlib.sha256()
-    digest.update(json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode())
-    digest.update(json.dumps(model.tokenizer.to_dict(), sort_keys=True).encode())
-    digest.update(model.ffn_head.kind.encode())
-    params = model.parameters()
-    for name in sorted(params):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(params[name]).tobytes())
-    return digest.hexdigest()
 
 
 def float_from_bits(bits: int) -> float:
@@ -466,6 +463,18 @@ class TestFingerprintCache:
             raise AssertionError("sha256 called for an unchanged model")
 
         monkeypatch.setattr(encoder_module.hashlib, "sha256", fail)
+        assert model.fingerprint() == first
+
+    def test_unchanged_model_is_not_reserialized(self, tiny_model, monkeypatch):
+        import defex.encoder as encoder_module
+
+        model = tiny_model.copy()
+        first = model.fingerprint()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("json.dumps called for an unchanged model")
+
+        monkeypatch.setattr(encoder_module.json, "dumps", fail)
         assert model.fingerprint() == first
 
     def test_copy_mutation_leaves_original(self, tiny_model):

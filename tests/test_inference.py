@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defex.corpus import Document, EventOntology
-from defex.encoder import CONTEXT, DEFINITION, cosine, load_archive
+from defex.encoder import CONTEXT, DEFINITION, DualEncoderModel, cosine, load_archive
 from defex.errors import (
     ArgumentError,
     DegenerateVectorError,
@@ -27,8 +27,9 @@ from defex.inference import (
     score_mention,
     threshold_sweep,
 )
+from defex.tokenizer import SubwordTokenizer
 
-from helpers import encode_definition
+from helpers import encode_definition, reference_fingerprint
 
 
 class TestInferenceConfig:
@@ -179,6 +180,63 @@ class TestScoreMention:
         score_mention(tiny_model, index, docs[0].sentences[0], (0, 0), counter=counter)
         assert counter.context_encoder_calls == 1
         assert counter.definition_encoder_calls == 0
+
+
+def replace_tokenizer(model):
+    model.tokenizer = SubwordTokenizer(model.tokenizer.pieces + ("zzzz",))
+
+
+def replace_pieces(model):
+    model.tokenizer.pieces = model.tokenizer.pieces + ("zzzz",)
+
+
+def replace_config(model):  # an equal config that serializes differently: 0.0 == -0.0
+    model.config = dataclasses.replace(model.config, position_scale=-0.0)
+
+
+def write_head_w2(model):
+    model.ffn_head.params["w2"][0, 0] += 1.0
+
+
+class TestFreshnessAfterWarmCache:
+    """Once a ``score_mention`` call has warmed the fingerprint and word
+    caches, every change to a hashed object still fails the freshness
+    check, and the check runs on every call."""
+
+    @pytest.fixture()
+    def scored(self, tiny_model, tiny_world):
+        _, ontology, docs, _ = tiny_world
+        model = tiny_model.copy()
+        model.config = dataclasses.replace(model.config, position_scale=0.0)
+        model.tokenizer = SubwordTokenizer(model.tokenizer.pieces)
+        index = build_definition_index(model, ontology)
+        sentence = docs[0].sentences[0]
+        span = (docs[0].candidates[0][1], docs[0].candidates[0][2])
+        score_mention(model, index, sentence, span)
+        return model, index, sentence, span
+
+    @pytest.mark.parametrize("change", [replace_tokenizer, replace_pieces, replace_config,
+                                        write_head_w2])
+    def test_change_is_stale(self, scored, change):
+        model, index, sentence, span = scored
+        change(model)
+        assert model.fingerprint() == reference_fingerprint(model) != index.fingerprint
+        with pytest.raises(FingerprintError):
+            score_mention(model, index, sentence, span)
+
+    def test_fingerprint_checked_once_per_call(self, scored, monkeypatch):
+        model, index, sentence, span = scored
+        calls = []
+        original = DualEncoderModel.fingerprint
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(DualEncoderModel, "fingerprint", counted)
+        for n in range(1, 4):
+            score_mention(model, index, sentence, span)
+            assert calls == [model] * n
 
 
 class TestExtract:

@@ -195,6 +195,49 @@ class TestIncrementalPairCounts:
         assert fast == reference == (PAD, UNK, "a", "b", "c", "d", "ab")
 
 
+# -- the per-word piece-id cache against the uncached encode_word ------------
+
+
+def reference_encode_words(tok, words):
+    """``encode_words`` built from uncached ``encode_word`` calls."""
+    ids, spans = [], []
+    for word in words:
+        sub = tok.encode_word(word)
+        spans.append((len(ids), len(ids) + len(sub) - 1))
+        ids.extend(sub)
+    return ids, spans
+
+
+class TestWordCache:
+    """``SubwordTokenizer.encode_words`` keeps each word's piece ids; its
+    results equal the uncached ``encode_word`` reference, cold or warm."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fit=word_lists(), vocab_size=st.integers(8, 40),
+           sentences=st.lists(st.lists(st.text("aAbBcz", min_size=1, max_size=8),
+                                       min_size=1, max_size=6), min_size=1, max_size=5))
+    def test_equals_encode_word(self, fit, vocab_size, sentences):
+        tok = SubwordTokenizer.train(fit, vocab_size)
+        for sentence in sentences + sentences:  # cold, then warm
+            assert tok.encode_words(sentence) == reference_encode_words(tok, sentence)
+
+    def test_mixed_case_repeats(self):
+        tok = SubwordTokenizer.train(["attack"] * 5 + ["tack"] * 3, 32)
+        words = ["Attack", "attack", "ATTACK", "Attack", "tAck"]
+        for _ in range(2):
+            assert tok.encode_words(words) == reference_encode_words(tok, words)
+        assert tok.encode_words(["Attack"]) == tok.encode_words(["attack"])
+
+    def test_mutating_returned_ids_changes_nothing(self):
+        tok = SubwordTokenizer.train(["attack"] * 5 + ["tack"] * 3, 32)
+        words = ["attack", "tack", "attack"]
+        ids, spans = tok.encode_words(words)
+        expected = reference_encode_words(tok, words)
+        ids[:] = [tok.unk_id] * (len(ids) + 1)
+        spans.clear()
+        assert tok.encode_words(words) == expected
+
+
 WIDE_EXTRACT_SPEC = SyntheticSpec(
     n_types=40,
     mentions_per_type=100,
