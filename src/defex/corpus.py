@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,8 +61,9 @@ class AlignmentInstance:
     definition_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "sentence", tuple(self.sentence))
-        object.__setattr__(self, "definition", tuple(self.definition))
+        # a corpus repeats a small vocabulary; one object per distinct word
+        object.__setattr__(self, "sentence", tuple(map(sys.intern, self.sentence)))
+        object.__setattr__(self, "definition", tuple(map(sys.intern, self.definition)))
         if not self.sentence:
             raise ValidationError("alignment instance has an empty sentence")
         if not self.definition:
@@ -171,7 +173,9 @@ class Document:
     candidates: tuple[tuple[int, int, int], ...]  # (sentence_idx, start, end)
 
     def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(tuple(s) for s in self.sentences))
+        # a corpus repeats a small vocabulary; one object per distinct word
+        object.__setattr__(self, "sentences",
+                           tuple(tuple(map(sys.intern, s)) for s in self.sentences))
         object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
         if not self.doc_id:
             raise ValidationError("document has an empty doc_id")

@@ -11,7 +11,10 @@ comparison time.
 One pooling path serves training, retrieval, indexing and extraction:
 :meth:`DualEncoderModel.encode_pooled` encodes id sequences in length-sorted
 padded batches and averages inclusive sub-token ranges, with a backward
-pass for training.
+pass for training.  Pooling reads only the positions its ranges cover, so
+the last block computes queries, feed-forward and output norm only there
+(keys and values still span the whole sequence); a batch in which some row
+is pooled whole runs every position, as definitions always do.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ _PREFIX = {CONTEXT: "ctx.", DEFINITION: "defn."}
 # still encoded all 48 definition slots.  A default step (16 instances, each
 # with its positive and 2 negatives) now encodes each distinct definition
 # once: at most 48 sequences, about 31 on the default corpus, so 64 keeps a
-# step in one forward per side.
+# step in one forward per side.  Since the last block runs only at pooled
+# positions, a context batch's last block costs what its mentions' sub-tokens
+# cost, whatever the batch size; the earlier blocks still run every padded
+# position.
 ENCODE_BATCH_SIZE = 64
 
 # what np.load and reading its members raise on a file that is no intact
@@ -181,11 +187,14 @@ class TokenEncoder:
     def copy(self) -> "TokenEncoder":
         return TokenEncoder(self.config, {k: v.copy() for k, v in self.params.items()})
 
-    def forward(self, ids: np.ndarray, mask: np.ndarray, keep_caches: bool = False):
+    def forward(self, ids: np.ndarray, mask: np.ndarray, keep_caches: bool = False,
+                positions=None):
         """ids (B, L) int64, mask (B, L) in {0, 1} -> states (B, L, dim),
         plus the cache :meth:`backward` needs with ``keep_caches`` (else
         None, so a forward-only pass holds one sublayer's activations at a
-        time)."""
+        time).  With ``positions``, an index of distinct positions per row
+        as :func:`nn.block_forward` takes it, the last block runs only those
+        queries and the states are (B, Lq, dim), ``full_states[positions]``."""
         length = ids.shape[1]
         if length > self.config.max_sequence_length:
             raise TruncationError(
@@ -194,9 +203,10 @@ class TokenEncoder:
             )
         x = self.params["emb"][ids] + self._positions[:length]
         caches = []
+        last = self.config.n_layers - 1
         for layer in range(self.config.n_layers):
             x, cache = nn.block_forward(x, self.params, f"b{layer}", mask, self.config.n_heads,
-                                        keep_caches)
+                                        keep_caches, positions if layer == last else None)
             caches.append(cache)
         out, ln_cache = nn.layer_norm_forward(x, self.params["out_ln.g"], self.params["out_ln.b"])
         return out, (ids, caches, ln_cache) if keep_caches else None
@@ -380,12 +390,14 @@ class DualEncoderModel:
         raise ArgumentError(f"unknown encoder side {side!r}")
 
     def encode_batch(self, side: str, id_sequences: Sequence[Sequence[int]], counter=None,
-                     keep_caches: bool = False):
+                     keep_caches: bool = False, positions=None):
         """Encode already-tokenized id sequences; returns (states, mask,
-        cache), the cache None unless ``keep_caches``.  Counts one encoder
-        call per sequence."""
+        cache), the cache None unless ``keep_caches``.  States are (B, L,
+        dim), or (B, Lq, dim) at ``positions`` (see
+        :meth:`TokenEncoder.forward`).  Counts one encoder call per
+        sequence."""
         ids, mask = nn.pad_batch(id_sequences, self.tokenizer.pad_id)
-        states, cache = self._encoder(side).forward(ids, mask, keep_caches)
+        states, cache = self._encoder(side).forward(ids, mask, keep_caches, positions)
         if counter is not None:
             counter.record(side, len(id_sequences))
         return states, mask, cache
@@ -400,7 +412,9 @@ class DualEncoderModel:
         may carry several ranges; rows without one are not encoded.  ``None``
         pools each whole sequence.  Definition states pass through the head
         before averaging.  Rows are encoded shortest first, in padded
-        batches of ``ENCODE_BATCH_SIZE``, through :meth:`encode_batch`.
+        batches of ``ENCODE_BATCH_SIZE``, through :meth:`encode_batch`,
+        whose last block runs only the positions the batch's ranges cover
+        (see :func:`_pooled_positions`).
 
         Returns ``(vectors, backward)``.  With ``keep_caches``,
         ``backward(d_vectors)`` maps the gradient of the vectors to
@@ -423,31 +437,35 @@ class DualEncoderModel:
         for first in range(0, len(by_length), ENCODE_BATCH_SIZE):
             # rows keep their input order inside a batch
             rows = sorted(by_length[first : first + ENCODE_BATCH_SIZE])
-            states, _, cache = self.encode_batch(side, [id_sequences[r] for r in rows], counter,
-                                                 keep_caches)
-            head_cache = None
-            if side == DEFINITION:
-                states, head_cache = self.ffn_head.forward(states)
-            outs = [k for row in rows for k in outputs_of[row]]
-            positions = np.array([i for i, row in enumerate(rows) for _ in outputs_of[row]])
-            weights = np.zeros((len(outs), states.shape[1]))
+            # outputs come grouped by row, so a row's sum is one segment sum
+            outs, out_rows, row_starts = [], [], []
+            for i, row in enumerate(rows):
+                row_starts.append(len(outs))
+                outs += outputs_of[row]
+                out_rows += [i] * len(outputs_of[row])
+            out_rows = np.array(out_rows)
+            weights = np.zeros((len(outs), max(len(id_sequences[row]) for row in rows)))
             for j, k in enumerate(outs):
                 _, lo, hi = ranges[k]
                 weights[j, lo : hi + 1] = 1.0
+            positions, weights = _pooled_positions(weights, out_rows, row_starts)
+            states, _, cache = self.encode_batch(side, [id_sequences[r] for r in rows], counter,
+                                                 keep_caches, positions)
+            head_cache = None
+            if side == DEFINITION:
+                states, head_cache = self.ffn_head.forward(states)
             counts = weights.sum(axis=1)
-            vectors[outs] = (weights[:, :, None] * states[positions]).sum(axis=1) / counts[:, None]
+            vectors[outs] = (weights[:, :, None] * states[out_rows]).sum(axis=1) / counts[:, None]
             if keep_caches:
-                steps.append((outs, positions, weights, counts, cache, head_cache))
+                steps.append((outs, row_starts, weights, counts, cache, head_cache))
             del states, cache, head_cache  # else they would live through the next forward
         if not keep_caches:
             return vectors, None
 
         def backward(d_vectors: np.ndarray) -> dict[str, np.ndarray]:
             grads: dict[str, np.ndarray] = {}
-            for outs, positions, weights, counts, cache, head_cache in steps:
+            for outs, row_starts, weights, counts, cache, head_cache in steps:
                 share = (d_vectors[outs] / counts[:, None])[:, None, :]
-                # outputs come grouped by row, so a row's gradient is one segment sum
-                row_starts = np.flatnonzero(np.diff(positions, prepend=-1))
                 d_states = np.add.reduceat(weights[:, :, None] * share, row_starts, axis=0)
                 batch_grads = {}
                 if side == DEFINITION:
@@ -531,6 +549,32 @@ class DualEncoderModel:
         head = TwoLayerHead(part("head.")) if head_kind == TwoLayerHead.kind else IdentityHead()
         return cls(config, tokenizer, TokenEncoder(config, part("ctx.")),
                    TokenEncoder(config, part("defn.")), head)
+
+
+def _pooled_positions(weights: np.ndarray, out_rows: np.ndarray, row_starts: list[int]):
+    """The positions a batch's pooling reads, for the last encoder block.
+
+    ``weights`` (n, L) holds each output's 0/1 range over its row
+    ``out_rows[j]``; rows start at ``row_starts``.  Returns ``(positions,
+    weights)``: an index for :func:`nn.block_forward` and the weights at the
+    positions it picks.  It picks each row's read positions in ascending
+    order, padded with unread ones up to the widest row's count; a lone
+    range is a basic slice.  When some row reads every position it returns
+    ``(None, weights)``, so the block computes all of them.
+    """
+    if len(weights) == 1:
+        read = np.flatnonzero(weights[0])
+        window = slice(read[0], read[-1] + 1)
+        if len(read) == weights.shape[1]:
+            return None, weights
+        return (slice(None), window), weights[:, window]
+    read = np.add.reduceat(weights, row_starts, axis=0) > 0.0
+    width = read.sum(axis=1).max()
+    if width == weights.shape[1]:
+        return None, weights
+    picked = np.argsort(~read, axis=1, kind="stable")[:, :width]
+    positions = (np.arange(len(picked))[:, None], picked)
+    return positions, np.take_along_axis(weights, picked[out_rows], axis=1)
 
 
 def _parameter_shapes(config: EncoderConfig, vocab_size: int,

@@ -96,11 +96,14 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def attention_forward(x, params, prefix, mask, n_heads):
-    """Masked multi-head self-attention.  ``mask`` is (B, L) with 1 for real
-    tokens; padded key columns receive a large negative bias so their
-    post-softmax weight underflows to exactly zero."""
-    q_full, q_cache = linear_forward(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+def attention_forward(x, params, prefix, mask, n_heads, queries=None):
+    """Masked multi-head attention over the keys and values of ``x`` (B, L,
+    dim).  ``mask`` is (B, L) with 1 for real tokens; padded key columns
+    receive a large negative bias so their post-softmax weight underflows to
+    exactly zero.  Queries come from ``queries`` (B, Lq, dim) when given,
+    else from ``x`` (self-attention); the output is (B, Lq, dim)."""
+    q_full, q_cache = linear_forward(x if queries is None else queries,
+                                     params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k_full, k_cache = linear_forward(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v_full, v_cache = linear_forward(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     q = _split_heads(q_full, n_heads)
@@ -118,6 +121,9 @@ def attention_forward(x, params, prefix, mask, n_heads):
 
 
 def attention_backward(dout, cache, prefix):
+    """Returns the gradient of the query-side input, that of the key/value
+    input (for self-attention the input's gradient is their sum), and the
+    parameter gradients."""
     q_cache, k_cache, v_cache, o_cache, q, k, v, attn, scale, n_heads = cache
     grads = {}
     dmerged, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = linear_backward(dout, o_cache)
@@ -131,20 +137,33 @@ def attention_backward(dout, cache, prefix):
     dx_q, grads[f"{prefix}.wq"], grads[f"{prefix}.bq"] = linear_backward(_merge_heads(dq), q_cache)
     dx_k, grads[f"{prefix}.wk"], grads[f"{prefix}.bk"] = linear_backward(_merge_heads(dk), k_cache)
     dx_v, grads[f"{prefix}.wv"], grads[f"{prefix}.bv"] = linear_backward(_merge_heads(dv), v_cache)
-    return dx_q + dx_k + dx_v, grads
+    return dx_q, dx_k + dx_v, grads
 
 
-def block_forward(x, params, prefix, mask, n_heads, keep_cache=True):
+def block_forward(x, params, prefix, mask, n_heads, keep_cache=True, positions=None):
     """Pre-norm transformer block: attention and feed-forward sublayers, each
     wrapped as ``x + f(layer_norm(x))``.  Without ``keep_cache`` the cache
     is None, the attention sublayer's activations are released before the
     feed-forward sublayer runs, and the first feed-forward linear's
-    activations before the second runs."""
+    activations before the second runs.
+
+    ``positions`` indexes the positions whose output is wanted, such that
+    ``x[positions]`` is (B, Lq, dim) and holds no position of a row twice:
+    ``(rows[:, None], p)`` for per-row positions ``p`` (B, Lq), or
+    ``(slice(None), window)`` for one slice of every row.  Only those
+    positions are queries and run the feed-forward sublayer; keys and values
+    still span every position.  The output is (B, Lq, dim), equal to
+    ``full_output[positions]``.  ``None`` computes every position."""
     normed1, ln1_cache = layer_norm_forward(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    attn_out, attn_cache = attention_forward(normed1, params, f"{prefix}.attn", mask, n_heads)
-    h = x + attn_out
+    if positions is None:
+        x_q, normed_q = x, None
+    else:
+        x_q, normed_q = x[positions], normed1[positions]
+    attn_out, attn_cache = attention_forward(normed1, params, f"{prefix}.attn", mask, n_heads,
+                                             normed_q)
+    h = x_q + attn_out
     if not keep_cache:
-        normed1 = ln1_cache = attn_out = attn_cache = None
+        normed1 = normed_q = ln1_cache = attn_out = attn_cache = None
     normed2, ln2_cache = layer_norm_forward(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     f1, f1_cache = linear_forward(normed2, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])
     a1, gelu_cache = gelu_forward(f1)
@@ -154,11 +173,14 @@ def block_forward(x, params, prefix, mask, n_heads, keep_cache=True):
     out = h + f2
     if not keep_cache:
         return out, None
-    return out, (ln1_cache, attn_cache, ln2_cache, f1_cache, gelu_cache, f2_cache)
+    return out, (ln1_cache, attn_cache, ln2_cache, f1_cache, gelu_cache, f2_cache, positions)
 
 
 def block_backward(dout, cache, params, prefix):
-    ln1_cache, attn_cache, ln2_cache, f1_cache, gelu_cache, f2_cache = cache
+    """``dout`` is (B, Lq, dim) like the forward's output; the input gradient
+    is (B, L, dim), the query-side gradients scattered back to their
+    positions."""
+    ln1_cache, attn_cache, ln2_cache, f1_cache, gelu_cache, f2_cache, positions = cache
     grads = {}
     da1, grads[f"{prefix}.ffn.w2"], grads[f"{prefix}.ffn.b2"] = linear_backward(dout, f2_cache)
     df1 = gelu_backward(da1, gelu_cache)
@@ -167,12 +189,14 @@ def block_backward(dout, cache, params, prefix):
     grads[f"{prefix}.ln2.g"] = dg2
     grads[f"{prefix}.ln2.b"] = db2
     dh = dh + dout  # residual
-    dnormed1, attn_grads = attention_backward(dh, attn_cache, f"{prefix}.attn")
+    dnormed_q, dnormed1, attn_grads = attention_backward(dh, attn_cache, f"{prefix}.attn")
     grads.update(attn_grads)
+    queries = slice(None) if positions is None else positions
+    dnormed1[queries] += dnormed_q
     dx, dg1, db1 = layer_norm_backward(dnormed1, ln1_cache)
     grads[f"{prefix}.ln1.g"] = dg1
     grads[f"{prefix}.ln1.b"] = db1
-    dx = dx + dh  # residual
+    dx[queries] += dh  # residual
     return dx, grads
 
 

@@ -20,6 +20,7 @@ word-level mention spans can be resolved against sub-token sequences.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
@@ -52,7 +53,9 @@ def _merge_pairs(word_freq: dict[tuple[str, ...], int], target_size: int, base: 
     incrementally: ``where`` maps each pair to the words that held it, and a
     merge re-counts only those words.  An index left in ``where`` after its
     word lost the pair is harmless: the rewrite changes nothing and its
-    counts net to zero."""
+    counts net to zero.  The next pair comes off a heap of ``(-count,
+    pair)`` entries, one pushed on every count change; an entry whose count
+    is no longer the pair's is skipped when it surfaces."""
     pieces = set(base)
     words = list(word_freq)
     freqs = list(word_freq.values())
@@ -62,23 +65,32 @@ def _merge_pairs(word_freq: dict[tuple[str, ...], int], target_size: int, base: 
         for pair in zip(symbols, symbols[1:]):
             counts[pair] += freqs[i]
             where[pair].add(i)
+    heap = [(-n, pair) for pair, n in counts.items()]
+    heapq.heapify(heap)
     while len(pieces) < target_size and counts:
-        top = max(counts.values())
-        if top < 2:
+        top, best = heapq.heappop(heap)
+        if counts.get(best) != -top:
+            continue
+        if -top < 2:
             break
-        best = min(pair for pair, n in counts.items() if n == top)
         merged = best[0] + best[1]
         pieces.add(merged)
+        touched = set()
         for i in where.pop(best):
             symbols, freq = words[i], freqs[i]
             for pair in zip(symbols, symbols[1:]):
                 counts[pair] -= freq
                 if not counts[pair]:
                     del counts[pair]
+                touched.add(pair)
             symbols = words[i] = _apply_merge(symbols, best, merged)
             for pair in zip(symbols, symbols[1:]):
                 counts[pair] += freq
                 where[pair].add(i)
+                touched.add(pair)
+        for pair in touched:
+            if pair in counts:
+                heapq.heappush(heap, (-counts[pair], pair))
     return pieces
 
 

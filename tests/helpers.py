@@ -1,7 +1,8 @@
 """Reference code the tests check the package against: the scalar ranking
 loss, a forward-only batch loss, a finite-difference gradient check, the
-one-definition encoder, the from-scratch model fingerprint and small record
-helpers.  None of it runs in the package itself."""
+one-definition encoder, pooling over full encoder states, the from-scratch
+model fingerprint and small record helpers.  None of it runs in the package
+itself."""
 
 import hashlib
 import json
@@ -12,7 +13,7 @@ import numpy as np
 
 from defex import training
 from defex.corpus import AlignmentCorpus, AlignmentInstance, Document, SpanKey, Tokens
-from defex.encoder import DEFINITION, DualEncoderModel, cosine
+from defex.encoder import CONTEXT, DEFINITION, DualEncoderModel, cosine
 from defex.errors import ArgumentError, ConfigurationError
 from defex.training import BatchItem, PreparedBatch, TrainConfig, prepare_batch
 
@@ -101,6 +102,33 @@ def encode_definition(model: DualEncoderModel, definition: Sequence[str]) -> Def
     ids, _ = model.tokenizer.encode_words(definition)
     vectors, _ = model.encode_pooled(DEFINITION, [ids])
     return DefinitionVector(vectors[0])
+
+
+def pool_full_states(model: DualEncoderModel, side: str, id_sequences, ranges):
+    """``encode_pooled``'s result computed the long way: every position of
+    one padded batch of all sequences runs through every block, then each
+    ``(row, lo, hi)`` range is averaged.  Returns ``(vectors, backward)``
+    like ``encode_pooled`` with ``keep_caches``."""
+    encoder = model.context_encoder if side == CONTEXT else model.definition_encoder
+    prefix = "ctx." if side == CONTEXT else "defn."
+    states, _, cache = model.encode_batch(side, id_sequences, keep_caches=True)
+    head_cache = None
+    if side == DEFINITION:
+        states, head_cache = model.ffn_head.forward(states)
+    vectors = np.array([states[row, lo : hi + 1].mean(axis=0) for row, lo, hi in ranges])
+
+    def backward(d_vectors):
+        d_states = np.zeros_like(states)
+        for (row, lo, hi), d in zip(ranges, d_vectors):
+            d_states[row, lo : hi + 1] += d / (hi - lo + 1)
+        grads = {}
+        if side == DEFINITION:
+            d_states, head_grads = model.ffn_head.backward(d_states, head_cache)
+            grads = {f"head.{name}": g for name, g in head_grads.items()}
+        grads.update({prefix + name: g for name, g in encoder.backward(d_states, cache).items()})
+        return grads
+
+    return vectors, backward
 
 
 def mention_tokens(instance: AlignmentInstance) -> Tokens:

@@ -75,6 +75,20 @@ class TestAlignmentInstance:
 
 
 class TestAlignmentCorpusIO:
+    def test_loaded_words_are_shared(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [
+            alignment_record(["the", "fox", "ran"], 2, 2, ["move", "fast"], "s1"),
+            alignment_record(["the", "dog", "ran", "fast"], 2, 2, ["move", "fast"], "s1"),
+        ])
+        first, second = load_alignment_corpus(path).instances
+        assert first.sentence[0] is second.sentence[0]
+        assert first.sentence[2] is second.sentence[2]
+        assert second.sentence[3] is first.definition[1] is second.definition[1]
+        plain = AlignmentInstance(tuple("".join(w) for w in ["the", "fox", "ran"]), 2, 2,
+                                  ("move", "fast"), "s1")
+        assert first == plain and hash(first) == hash(plain)
+
     def test_single_record_roundtrip(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [alignment_record(["the", "fox", "ran"], 2, 2, ["move", "fast"], "s1")])
@@ -260,6 +274,28 @@ class TestDocuments:
     def test_duplicate_candidates(self):
         with pytest.raises(ValidationError):
             Document("d", (("a", "b"),), ((0, 0, 0), (0, 0, 0)))
+
+    def test_loaded_words_are_shared(self, tmp_path):
+        # words built at run time, so no two of them start as one object
+        word = lambda *parts: "".join(parts)
+        docs = (
+            Document("d1", ((word("at", "tack"), word("on")), (word("at", "tack"),)), ((0, 0, 0),)),
+            Document("d2", ((word("o", "n"), word("atta", "ck")),), ()),
+        )
+        assert docs[0].sentences[0][0] is docs[0].sentences[1][0]
+        first = tmp_path / "a.jsonl"
+        save_documents(docs, first)
+        loaded = load_documents(first)
+        attack = loaded[0].sentences[0][0]
+        assert attack is loaded[0].sentences[1][0] is loaded[1].sentences[0][1]
+        assert loaded[0].sentences[0][1] is loaded[1].sentences[0][0]
+        plain = tuple(Document(d.doc_id, tuple(tuple(word(w) for w in s) for s in d.sentences),
+                               d.candidates) for d in docs)
+        assert loaded == docs == plain
+        assert list(map(hash, loaded)) == list(map(hash, plain))
+        second = tmp_path / "b.jsonl"
+        save_documents(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestMentionSets:

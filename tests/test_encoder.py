@@ -24,7 +24,7 @@ from defex.errors import (
 )
 from defex.tokenizer import PAD, UNK, SubwordTokenizer
 
-from helpers import encode_definition, reference_fingerprint
+from helpers import encode_definition, pool_full_states, reference_fingerprint
 
 
 class TestEncoderConfig:
@@ -107,10 +107,16 @@ class TestEncodeTokens:
 
 def planted_model(model, states):
     """A copy of ``model`` whose encoders return ``states`` (n, dim) for a
-    single sequence, so pooling can be checked on exact values."""
+    single sequence, or its rows at the asked-for query positions, so
+    pooling can be checked on exact values."""
     planted = model.copy()
     states = np.asarray(states, dtype=np.float64)[None]
-    planted.encode_batch = lambda side, seqs, *args: (states, np.ones(states.shape[:2]), None)
+
+    def encode_batch(side, seqs, counter=None, keep_caches=False, positions=None):
+        picked = states if positions is None else states[positions]
+        return picked, np.ones(states.shape[:2]), None
+
+    planted.encode_batch = encode_batch
     return planted
 
 
@@ -223,6 +229,45 @@ class TestEncodePooled:
                 params[name].flat[flat] = original
                 numeric = (plus - minus) / 2e-5
                 assert grads[name].flat[flat] == pytest.approx(numeric, rel=1e-5)
+
+    @staticmethod
+    @st.composite
+    def pooling_case(draw):
+        """Sequences of uneven lengths (so padded) with 0-3 ranges per row:
+        whole rows, overlapping ranges and rows nobody pools."""
+        seqs, ranges = [], []
+        for row, length in enumerate(draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))):
+            seqs.append(draw(st.lists(st.integers(2, 200), min_size=length, max_size=length)))
+            for _ in range(draw(st.integers(0, 3))):
+                if draw(st.booleans()):
+                    ranges.append((row, 0, length - 1))
+                else:
+                    lo = draw(st.integers(0, length - 1))
+                    ranges.append((row, lo, draw(st.integers(lo, length - 1))))
+        if not ranges:
+            ranges.append((len(seqs) - 1, 0, 0))
+        return draw(st.sampled_from([CONTEXT, DEFINITION])), seqs, ranges
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pooling_case())
+    def test_pooled_positions_match_full_states(self, tiny_model, case):
+        side, seqs, ranges = case
+        pooled, _ = tiny_model.encode_pooled(side, seqs, ranges)
+        full, _ = pool_full_states(tiny_model, side, seqs, ranges)
+        np.testing.assert_allclose(pooled, full, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=pooling_case(), seed=st.integers(0, 2**32 - 1))
+    def test_pooled_positions_backward_matches_full_states(self, tiny_model, case, seed):
+        side, seqs, ranges = case
+        d_vectors = np.random.default_rng(seed).normal(
+            size=(len(ranges), tiny_model.config.embedding_dim))
+        _, backward = tiny_model.encode_pooled(side, seqs, ranges, keep_caches=True)
+        _, full_backward = pool_full_states(tiny_model, side, seqs, ranges)
+        grads, expected = backward(d_vectors), full_backward(d_vectors)
+        assert grads.keys() == expected.keys()
+        for name, g in expected.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-10, err_msg=name)
 
     def test_forward_only_has_no_backward(self, tiny_model):
         _, backward = tiny_model.encode_pooled(CONTEXT, [[2, 3]])

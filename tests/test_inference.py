@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defex.corpus import Document, EventOntology
-from defex.encoder import CONTEXT, DEFINITION, DualEncoderModel, cosine, load_archive
+from defex.encoder import CONTEXT, DEFINITION, ENCODE_BATCH_SIZE, DualEncoderModel, cosine, load_archive
 from defex.errors import (
     ArgumentError,
     DegenerateVectorError,
@@ -16,6 +16,7 @@ from defex.errors import (
     ParseError,
     ValidationError,
 )
+from defex import inference, nn
 from defex.inference import (
     CallCounter,
     DefinitionIndex,
@@ -391,6 +392,41 @@ class TestBatchedExtraction:
         sweep = threshold_sweep(tiny_model, index, documents, thresholds)
         assert sweep == separate
         assert sum(seen) == sentences
+
+    def test_score_blocks_match_one_block(self, tiny_model, tiny_world, monkeypatch):
+        _, ontology, docs, _ = tiny_world
+        documents = relabelled(docs, list(range(len(docs))) * 5)
+        index = build_definition_index(tiny_model, ontology)
+        keys, scores = score_candidates(tiny_model, index, documents)
+        monkeypatch.setattr(inference, "SCORE_BLOCK", ENCODE_BATCH_SIZE)
+        seen = count_context_sequences(monkeypatch, tiny_model)
+        block_keys, block_scores = score_candidates(tiny_model, index, documents)
+        assert len(seen) > 1 and sum(seen) == 150
+        assert block_keys == keys
+        assert block_scores.tobytes() == scores.tobytes()
+
+    def test_last_block_computes_pooled_positions_only(self, tiny_model, tiny_world, monkeypatch):
+        """A guard on the saving: the final encoder block of a long sentence
+        computes only the positions its candidates pool."""
+        _, ontology, docs, _ = tiny_world
+        index = build_definition_index(tiny_model, ontology)
+        words = docs[0].sentences[0] + docs[1].sentences[0]
+        doc = Document("long", (words,), ((0, 1, 2), (0, len(words) - 2, len(words) - 2)))
+        widths = []
+        original = nn.block_forward
+
+        def recording(x, *args, **kwargs):
+            out, cache = original(x, *args, **kwargs)
+            widths.append((x.shape[1], out.shape[1]))
+            return out, cache
+
+        monkeypatch.setattr(nn, "block_forward", recording)
+        keys, _ = score_candidates(tiny_model, index, (doc,))
+        assert len(keys) == 2
+        assert len(widths) == tiny_model.config.n_layers
+        *inner, (length, queries) = widths
+        assert all(out == full == length for full, out in inner)
+        assert length >= len(words) > 10 and queries < length / 2
 
     def test_non_finite_score_raises(self, tiny_model, tiny_world):
         _, ontology, docs, _ = tiny_world

@@ -123,10 +123,27 @@ def test_attention_backward():
         return float((nn.attention_forward(x, params, "attn", mask, heads)[0] * dout).sum())
 
     out, cache = nn.attention_forward(x, params, "attn", mask, heads)
-    dx, grads = nn.attention_backward(dout, cache, "attn")
-    assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
+    dx_q, dx_kv, grads = nn.attention_backward(dout, cache, "attn")
+    assert rel_err(dx_q + dx_kv, numeric_grad(loss, x)) < 1e-6
     for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bo"):
         assert rel_err(grads[name], numeric_grad(loss, params[name])) < 1e-6, name
+
+    # queries from a separate input: each input gets its own gradient
+    rng = np.random.default_rng(13)
+    queries = rng.normal(size=(x.shape[0], 3, x.shape[2])) * 0.5
+    dout_q = rng.normal(size=queries.shape)
+
+    def cross_loss():
+        out, _ = nn.attention_forward(x, params, "attn", mask, heads, queries)
+        return float((out * dout_q).sum())
+
+    out, cache = nn.attention_forward(x, params, "attn", mask, heads, queries)
+    assert out.shape == queries.shape
+    dx_q, dx_kv, grads = nn.attention_backward(dout_q, cache, "attn")
+    assert rel_err(dx_q, numeric_grad(cross_loss, queries)) < 1e-6
+    assert rel_err(dx_kv, numeric_grad(cross_loss, x)) < 1e-6
+    for name in ("attn.wq", "attn.wk", "attn.bq"):
+        assert rel_err(grads[name], numeric_grad(cross_loss, params[name])) < 1e-6, name
 
 
 def test_block_backward():
@@ -156,9 +173,7 @@ def test_block_backward():
         assert rel_err(grads[name], numeric_grad(loss, params[name])) < 1e-6, name
 
 
-def test_block_forward_without_cache_equals_cached():
-    rng = np.random.default_rng(9)
-    b, l, d, h = 3, 6, 8, 16
+def _block_params(rng, d, h):
     params = {}
     for ln in ("ln1", "ln2"):
         params[f"b0.{ln}.g"] = 1.0 + 0.1 * rng.normal(size=d)
@@ -171,6 +186,13 @@ def test_block_forward_without_cache_equals_cached():
         params[f"b0.attn.{name}"] = rng.normal(size=(d, d)) * 0.3
     for name in ("bq", "bk", "bv", "bo"):
         params[f"b0.attn.{name}"] = rng.normal(size=d) * 0.1
+    return params
+
+
+def test_block_forward_without_cache_equals_cached():
+    rng = np.random.default_rng(9)
+    b, l, d, h = 3, 6, 8, 16
+    params = _block_params(rng, d, h)
     x = rng.normal(size=(b, l, d)) * 2.0
     mask = np.ones((b, l))
     mask[1, 4:] = 0.0
@@ -179,6 +201,48 @@ def test_block_forward_without_cache_equals_cached():
     uncached, none = nn.block_forward(x, params, "b0", mask, 2, keep_cache=False)
     assert cache is not None and none is None
     assert uncached.tobytes() == cached.tobytes()
+
+
+def _padded_block(seed):
+    rng = np.random.default_rng(seed)
+    b, l, d, h = 3, 6, 8, 16
+    params = _block_params(rng, d, h)
+    x = rng.normal(size=(b, l, d))
+    mask = np.ones((b, l))
+    mask[1, 4:] = 0.0
+    mask[2, 2:] = 0.0
+    # distinct positions per row, not sorted, one of them padding
+    positions = (np.arange(b)[:, None], np.array([[5, 0, 2], [1, 3, 4], [0, 1, 3]]))
+    return rng, params, x, mask, positions
+
+
+def test_block_forward_at_positions_equals_full_rows():
+    _, params, x, mask, positions = _padded_block(10)
+    full, _ = nn.block_forward(x, params, "b0", mask, 2)
+    window = (slice(None), slice(1, 4))
+    for index in (positions, window, (slice(None), slice(None))):
+        for keep_cache in (True, False):
+            out, _ = nn.block_forward(x, params, "b0", mask, 2, keep_cache, index)
+            assert out.shape == full[index].shape
+            np.testing.assert_allclose(out, full[index], rtol=0, atol=1e-12)
+
+
+def test_block_backward_at_positions():
+    rng, params, x, mask, positions = _padded_block(11)
+    for index in (positions, (slice(None), slice(2, 5))):
+        dout = rng.normal(size=x[index].shape)
+
+        def loss():
+            out, _ = nn.block_forward(x, params, "b0", mask, 2, positions=index)
+            return float((out * dout).sum())
+
+        _, cache = nn.block_forward(x, params, "b0", mask, 2, positions=index)
+        dx, grads = nn.block_backward(dout, cache, params, "b0")
+        assert dx.shape == x.shape
+        assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
+        for name in ("b0.ffn.w1", "b0.ln1.g", "b0.ln2.b", "b0.attn.wq", "b0.attn.wk",
+                     "b0.attn.bv"):
+            assert rel_err(grads[name], numeric_grad(loss, params[name])) < 1e-6, name
 
 
 def test_sinusoidal_positions():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from defex import training
+from defex import nn, training
 from defex.corpus import AlignmentCorpus, AlignmentInstance, SyntheticSpec, generate_synthetic_corpus
 from defex.encoder import CONTEXT, DEFINITION, DualEncoderModel, EncoderConfig, cosine
 from defex.errors import ArgumentError, ConfigurationError, NumericalError
@@ -211,6 +211,27 @@ class TestBatchedLoss:
         items = sample_kink_free_batch(model, corpus, config, rng=12)
         err = check_gradients(model, items, config.margin, n_coordinates=250, seed=7)
         assert err < 1e-4
+
+    def test_gradient_check_with_pooled_positions(self, tiny_world, tiny_model, monkeypatch):
+        """Every mention covers part of its sentence, so the context side's
+        last block runs fewer query positions than the padded length."""
+        corpus, _, _, _ = tiny_world
+        model = tiny_model.copy()
+        config = TrainConfig(batch_size=4)
+        items = sample_kink_free_batch(model, corpus, config, rng=5)
+        batch = prepare_batch(model, items)
+        assert all(hi - lo + 1 < len(seq) for seq, (lo, hi) in zip(batch.ctx_seqs, batch.span_ranges))
+        widths = []
+        original = nn.block_forward
+
+        def recording(x, *args, **kwargs):
+            out, cache = original(x, *args, **kwargs)
+            widths.append((x.shape[1], out.shape[1]))
+            return out, cache
+
+        monkeypatch.setattr(nn, "block_forward", recording)
+        assert check_gradients(model, items, config.margin, n_coordinates=250, seed=3) < 1e-4
+        assert any(out < full for full, out in widths)
 
     def test_inactive_hinge_zero_gradient(self, tiny_world, tiny_model):
         model = tiny_model.copy()
