@@ -252,6 +252,19 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _save_trained(run_dir: Path, model: DualEncoderModel, report) -> Path:
+    """Write the trained model's ``checkpoint.npz`` and ``train_report.json``
+    into ``run_dir``; returns the checkpoint path."""
+    checkpoint = run_dir / "checkpoint.npz"
+    model.save(checkpoint)
+    _write_json(run_dir / "train_report.json", {
+        "epoch_losses": list(report.epoch_losses),
+        "epoch_seconds": list(report.epoch_seconds),
+        "checkpoint": str(checkpoint),
+    })
+    return checkpoint
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -291,13 +304,7 @@ def cmd_pretrain(config: RunConfig, args) -> int:
     run_dir = _make_run_dir(config.paths["output_dir"], "pretrain")
     model = DualEncoderModel.initialize(config.encoder, corpus, config.train.seed)
     model, report = pretrain(model, corpus, config.train)
-    checkpoint = run_dir / "checkpoint.npz"
-    model.save(checkpoint)
-    _write_json(run_dir / "train_report.json", {
-        "epoch_losses": list(report.epoch_losses),
-        "epoch_seconds": list(report.epoch_seconds),
-        "checkpoint": str(checkpoint),
-    })
+    checkpoint = _save_trained(run_dir, model, report)
     write_manifest(run_dir, "pretrain", config, {"corpus": corpus_path}, {
         "checkpoint_fingerprint": model.fingerprint(),
         "loss_curve": _sha256_json(list(report.epoch_losses)),
@@ -340,14 +347,8 @@ def cmd_warm(config: RunConfig, args) -> int:
         plan = build_warming_subset(model, ontology, corpus, config.retrieval)
         model, report = warm(model, plan.corpus, plan.full_definitions, config.warm)
         manifest_payload = {"mode": "retrieved", **plan.manifest()}
-    checkpoint = run_dir / "checkpoint.npz"
-    model.save(checkpoint)
+    checkpoint = _save_trained(run_dir, model, report)
     _write_json(run_dir / "warming_manifest.json", manifest_payload)
-    _write_json(run_dir / "train_report.json", {
-        "epoch_losses": list(report.epoch_losses),
-        "epoch_seconds": list(report.epoch_seconds),
-        "checkpoint": str(checkpoint),
-    })
     write_manifest(run_dir, "warm", config, inputs, {
         "checkpoint_fingerprint": model.fingerprint(),
         "warming_manifest": _sha256_json(manifest_payload),

@@ -133,8 +133,8 @@ class MentionVector:
 
 def cosine(u, v) -> float:
     """Cosine similarity of two non-zero vectors; raises on zero input."""
-    u = np.asarray(getattr(u, "values", u), dtype=np.float64)
-    v = np.asarray(getattr(v, "values", v), dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -230,6 +230,8 @@ class TwoLayerHead:
     """Affine -> nonlinearity -> affine map applied to definition sub-token
     states before averaging."""
 
+    # the only head: checkpoints record it as ``head_kind`` and the
+    # fingerprint header ends with it
     kind = "two_layer"
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -263,24 +265,6 @@ class TwoLayerHead:
         df1 = nn.gelu_backward(da1, gelu_cache)
         dx, grads["w1"], grads["b1"] = nn.linear_backward(df1, f1_cache)
         return dx, grads
-
-
-class IdentityHead:
-    """Pass-through head; useful for isolating the raw definition encoder."""
-
-    kind = "identity"
-
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-
-    def copy(self) -> "IdentityHead":
-        return IdentityHead()
-
-    def forward(self, x):
-        return x, None
-
-    def backward(self, dout, cache):
-        return dout, {}
 
 
 class DualEncoderModel:
@@ -338,12 +322,12 @@ class DualEncoderModel:
 
     def fingerprint(self) -> str:
         """Content hash of config, tokenizer, and every parameter tensor:
-        sha256 over the config and tokenizer JSON, the head kind, then each
-        parameter's name and bytes in name order.
+        sha256 over the config and tokenizer JSON, the head kind
+        ``"two_layer"``, then each parameter's name and bytes in name order.
 
         The digest is kept with the serialized header, the objects it was
-        built from (``config``, ``tokenizer``, ``tokenizer.pieces`` and the
-        head kind) and an exact copy of every parameter's bytes.  A later
+        built from (``config``, ``tokenizer`` and ``tokenizer.pieces``) and
+        an exact copy of every parameter's bytes.  A later
         call serializes the header again only if one of those objects was
         replaced; they are compared by identity, not ``==``, because equal
         configs can serialize differently (``0.0 == -0.0``).  It returns the
@@ -353,7 +337,7 @@ class DualEncoderModel:
         floats, are compared, so ``0.0`` -> ``-0.0`` or a changed NaN
         payload is a new state.
         """
-        sources = (self.config, self.tokenizer, self.tokenizer.pieces, self.ffn_head.kind)
+        sources = (self.config, self.tokenizer, self.tokenizer.pieces)
         params = self.parameters()
         header = None
         if self._hashed is not None:
@@ -369,7 +353,7 @@ class DualEncoderModel:
             header = b"".join((
                 json.dumps(asdict(self.config), sort_keys=True).encode(),
                 json.dumps(self.tokenizer.to_dict(), sort_keys=True).encode(),
-                self.ffn_head.kind.encode(),
+                TwoLayerHead.kind.encode(),
             ))
         blobs = {name: params[name].tobytes() for name in sorted(params)}
         digest = hashlib.sha256(header)
@@ -404,23 +388,26 @@ class DualEncoderModel:
 
     def encode_pooled(self, side: str, id_sequences: Sequence[Sequence[int]],
                       ranges: Sequence[tuple[int, int, int]] | None = None,
-                      counter=None, keep_caches: bool = False):
+                      counter=None, keep_caches: bool = False, head: bool = True):
         """Mean encoder states over sub-token ranges of many sequences.
 
         ``ranges`` holds one ``(row, lo, hi)`` per output vector: the
         inclusive sub-token range ``lo..hi`` of ``id_sequences[row]``.  A row
         may carry several ranges; rows without one are not encoded.  ``None``
         pools each whole sequence.  Definition states pass through the head
-        before averaging.  Rows are encoded shortest first, in padded
-        batches of ``ENCODE_BATCH_SIZE``, through :meth:`encode_batch`,
-        whose last block runs only the positions the batch's ranges cover
-        (see :func:`_pooled_positions`).
+        before averaging, in the forward and the backward, unless ``head``
+        is false (retrieval's plain sentence embedding); context states never
+        do.  Rows are encoded shortest first, in padded batches of
+        ``ENCODE_BATCH_SIZE``, through :meth:`encode_batch`, whose last block
+        runs only the positions the batch's ranges cover (see
+        :func:`_pooled_positions`).
 
         Returns ``(vectors, backward)``.  With ``keep_caches``,
         ``backward(d_vectors)`` maps the gradient of the vectors to
         gradients keyed like :meth:`parameters`; otherwise it is ``None``.
         """
         encoder = self._encoder(side)
+        head = head and side == DEFINITION
         if ranges is None:
             ranges = [(row, 0, len(seq) - 1) for row, seq in enumerate(id_sequences)]
         outputs_of: dict[int, list[int]] = {}
@@ -452,7 +439,7 @@ class DualEncoderModel:
             states, _, cache = self.encode_batch(side, [id_sequences[r] for r in rows], counter,
                                                  keep_caches, positions)
             head_cache = None
-            if side == DEFINITION:
+            if head:
                 states, head_cache = self.ffn_head.forward(states)
             counts = weights.sum(axis=1)
             vectors[outs] = (weights[:, :, None] * states[out_rows]).sum(axis=1) / counts[:, None]
@@ -468,7 +455,7 @@ class DualEncoderModel:
                 share = (d_vectors[outs] / counts[:, None])[:, None, :]
                 d_states = np.add.reduceat(weights[:, :, None] * share, row_starts, axis=0)
                 batch_grads = {}
-                if side == DEFINITION:
+                if head:
                     d_states, head_grads = self.ffn_head.backward(d_states, head_cache)
                     batch_grads = {f"head.{name}": g for name, g in head_grads.items()}
                 for name, g in encoder.backward(d_states, cache).items():
@@ -497,7 +484,7 @@ class DualEncoderModel:
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "config": asdict(self.config),
             "tokenizer": self.tokenizer.to_dict(),
-            "head_kind": self.ffn_head.kind,
+            "head_kind": TwoLayerHead.kind,
         }
         arrays = {f"param/{k}": v for k, v in self.parameters().items()}
         np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
@@ -523,10 +510,10 @@ class DualEncoderModel:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed checkpoint meta: {exc!r}") from None
         head_kind = meta.get("head_kind", TwoLayerHead.kind)
-        if head_kind not in (TwoLayerHead.kind, IdentityHead.kind):
+        if head_kind != TwoLayerHead.kind:
             raise ValidationError(f"{path}: unknown head kind {head_kind!r}")
         expected = {f"param/{name}": shape
-                    for name, shape in _parameter_shapes(config, len(tokenizer), head_kind).items()}
+                    for name, shape in _parameter_shapes(config, len(tokenizer)).items()}
         if arrays.keys() != expected.keys():
             raise ValidationError(
                 f"{path}: checkpoint arrays do not match its config: missing "
@@ -546,9 +533,8 @@ class DualEncoderModel:
             prefix = f"param/{prefix}"
             return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
 
-        head = TwoLayerHead(part("head.")) if head_kind == TwoLayerHead.kind else IdentityHead()
         return cls(config, tokenizer, TokenEncoder(config, part("ctx.")),
-                   TokenEncoder(config, part("defn.")), head)
+                   TokenEncoder(config, part("defn.")), TwoLayerHead(part("head.")))
 
 
 def _pooled_positions(weights: np.ndarray, out_rows: np.ndarray, row_starts: list[int]):
@@ -577,17 +563,15 @@ def _pooled_positions(weights: np.ndarray, out_rows: np.ndarray, row_starts: lis
     return positions, np.take_along_axis(weights, picked[out_rows], axis=1)
 
 
-def _parameter_shapes(config: EncoderConfig, vocab_size: int,
-                      head_kind: str) -> dict[str, tuple[int, ...]]:
+def _parameter_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter :meth:`DualEncoderModel.initialize`
     draws, keyed like :meth:`DualEncoderModel.parameters`."""
     rng = np.random.default_rng(0)
     encoder = TokenEncoder.create(config, vocab_size, rng)
     shapes = {prefix + name: array.shape
               for prefix in _PREFIX.values() for name, array in encoder.params.items()}
-    if head_kind == TwoLayerHead.kind:
-        shapes.update({f"head.{name}": array.shape
-                       for name, array in TwoLayerHead.create(config, rng).params.items()})
+    shapes.update({f"head.{name}": array.shape
+                   for name, array in TwoLayerHead.create(config, rng).params.items()})
     return shapes
 
 

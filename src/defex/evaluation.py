@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -68,15 +68,7 @@ class EvalReport:
         return cls(mode, precision, recall, f1, tp, fp, fn)
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return asdict(self)
 
 
 def micro_prf(preds: PredictionSet, gold: GoldMentionSet, mode: str,
@@ -321,18 +313,8 @@ class SpeedReport:
     joint_calls: int
 
     def as_dict(self) -> dict:
-        return {
-            "n_candidates": self.n_candidates,
-            "n_types": self.n_types,
-            "disjoint_seconds": list(self.disjoint_seconds),
-            "joint_seconds": list(self.joint_seconds),
-            "disjoint_median": self.disjoint_median,
-            "joint_median": self.joint_median,
-            "disjoint_context_calls": self.disjoint_context_calls,
-            "disjoint_definition_calls": self.disjoint_definition_calls,
-            "joint_calls": self.joint_calls,
-            "speedup": self.joint_median / self.disjoint_median if self.disjoint_median else float("inf"),
-        }
+        speedup = self.joint_median / self.disjoint_median if self.disjoint_median else float("inf")
+        return {**asdict(self), "speedup": speedup}
 
 
 def _joint_scoring_pass(model: DualEncoderModel, ontology: EventOntology,

@@ -63,12 +63,6 @@ class CallCounter:
         else:
             raise ArgumentError(f"unknown encoder side {side!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "context_encoder_calls": self.context_encoder_calls,
-            "definition_encoder_calls": self.definition_encoder_calls,
-        }
-
 
 @dataclass(frozen=True)
 class DefinitionIndex:

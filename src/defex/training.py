@@ -15,6 +15,7 @@ backward.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -46,8 +47,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ArgumentError("margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise ArgumentError("margin must be positive and finite")
         if self.n_negatives < 1:
             raise ArgumentError("n_negatives must be at least 1")
         if self.epochs < 1:

@@ -22,7 +22,7 @@ from .corpus import (
     GoldMentionSet,
     Tokens,
 )
-from .encoder import DEFINITION, DualEncoderModel, IdentityHead, cosine
+from .encoder import DEFINITION, DualEncoderModel, cosine
 from .errors import ArgumentError, ConfigurationError, ValidationError
 from .training import (
     NegativeSampler,
@@ -43,12 +43,14 @@ class RetrievalConfig:
 
 
 class StaticEmbedder:
-    """A frozen snapshot of the model's definition encoder used as a plain
-    sentence embedder: mean of the per-sub-token states, no definition head."""
+    """The model's definition encoder as a plain sentence embedder: mean of
+    the per-sub-token states, no definition head.  It reads the model it is
+    given, not a copy, so it embeds with the model's current parameters.
+    Retrieval calls :meth:`embed_all`; :meth:`embed` is kept because the
+    benchmark's trace wraps it."""
 
     def __init__(self, model: DualEncoderModel):
-        self._model = model.copy()
-        self._model.ffn_head = IdentityHead()
+        self._model = model
 
     def embed(self, tokens: Sequence[str]) -> np.ndarray:
         return self.embed_all([tokens])[0]
@@ -56,7 +58,7 @@ class StaticEmbedder:
     def embed_all(self, token_sequences: Sequence[Sequence[str]]) -> np.ndarray:
         """One row per token sequence, encoded in batches."""
         seqs = [self._model.tokenizer.encode_words(tokens)[0] for tokens in token_sequences]
-        vectors, _ = self._model.encode_pooled(DEFINITION, seqs)
+        vectors, _ = self._model.encode_pooled(DEFINITION, seqs, head=False)
         return vectors
 
 

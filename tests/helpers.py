@@ -6,7 +6,7 @@ itself."""
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -92,16 +92,11 @@ def check_gradients(model: DualEncoderModel, items: Sequence[BatchItem], margin:
     return worst
 
 
-@dataclass(frozen=True)
-class DefinitionVector:
-    values: np.ndarray
-
-
-def encode_definition(model: DualEncoderModel, definition: Sequence[str]) -> DefinitionVector:
+def encode_definition(model: DualEncoderModel, definition: Sequence[str]) -> np.ndarray:
     """Head-transformed mean over every sub-token of one definition."""
     ids, _ = model.tokenizer.encode_words(definition)
     vectors, _ = model.encode_pooled(DEFINITION, [ids])
-    return DefinitionVector(vectors[0])
+    return vectors[0]
 
 
 def pool_full_states(model: DualEncoderModel, side: str, id_sequences, ranges):
@@ -143,12 +138,13 @@ def all_candidate_keys(documents: Sequence[Document]) -> tuple[SpanKey, ...]:
 
 def reference_fingerprint(model):
     """The digest computed from scratch: sha256 over the config JSON, the
-    tokenizer JSON, the head kind, then each parameter's name and bytes in
-    name order."""
+    tokenizer JSON, the literal head kind ``"two_layer"`` (the only head
+    there is; checkpoints still record it), then each parameter's name and
+    bytes in name order."""
     digest = hashlib.sha256()
     digest.update(json.dumps(asdict(model.config), sort_keys=True).encode())
     digest.update(json.dumps(model.tokenizer.to_dict(), sort_keys=True).encode())
-    digest.update(model.ffn_head.kind.encode())
+    digest.update(b"two_layer")
     params = model.parameters()
     for name in sorted(params):
         digest.update(name.encode())

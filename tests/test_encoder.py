@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defex.corpus import SyntheticSpec, generate_synthetic_corpus
 from defex.encoder import (
     CONTEXT,
     DEFINITION,
     ENCODE_BATCH_SIZE,
     DualEncoderModel,
     EncoderConfig,
-    IdentityHead,
     cosine,
 )
 from defex.errors import (
@@ -281,14 +281,15 @@ class TestEncodeDefinition:
         tokens = ["a", "sense", "definition"]
         one = encode_definition(tiny_model, tokens)
         two = encode_definition(tiny_model, tokens)
-        np.testing.assert_array_equal(one.values, two.values)
+        np.testing.assert_array_equal(one, two)
 
     def test_identity_head_single_token(self, tiny_model):
-        model = tiny_model.copy()
-        model.ffn_head = IdentityHead()
-        states, _ = sequence_states(model, DEFINITION, ["word"])
-        out = encode_definition(model, ["word"])
-        np.testing.assert_allclose(out.values, states.mean(axis=0), atol=1e-12)
+        # without the head a definition pools the plain encoder states
+        states, _ = sequence_states(tiny_model, DEFINITION, ["word"])
+        ids, _ = tiny_model.tokenizer.encode_words(["word"])
+        out, backward = tiny_model.encode_pooled(DEFINITION, [ids], keep_caches=True, head=False)
+        np.testing.assert_allclose(out[0], states.mean(axis=0), atol=1e-12)
+        assert not any(name.startswith("head.") for name in backward(np.ones_like(out)))
 
     def test_matches_per_token_oracle(self, tiny_model):
         tokens = ["four", "random", "definition", "tokens"]
@@ -303,7 +304,7 @@ class TestEncodeDefinition:
             total += act @ head["w2"] + head["b2"]
         oracle = total / states.shape[0]
         got = encode_definition(tiny_model, tokens)
-        np.testing.assert_allclose(got.values, oracle, atol=1e-10)
+        np.testing.assert_allclose(got, oracle, atol=1e-10)
 
     def test_empty_rejected(self, tiny_model):
         with pytest.raises(ArgumentError):
@@ -382,8 +383,8 @@ class TestCheckpoint:
             sequence_states(tiny_model, CONTEXT, words)[0],
         )
         np.testing.assert_array_equal(
-            encode_definition(loaded, words).values,
-            encode_definition(tiny_model, words).values,
+            encode_definition(loaded, words),
+            encode_definition(tiny_model, words),
         )
 
     def test_roundtrip_after_warm_word_cache(self, tiny_model, tmp_path):
@@ -556,6 +557,19 @@ class TestFingerprintCache:
             digest = new
 
 
+@pytest.mark.parametrize("config, digest", [
+    (EncoderConfig(), "bdf62c6999f298ac1a8569efe38269c714f7ab8732b207fdaf73a97dfad717d0"),
+    (EncoderConfig(tokenizer="identity", embedding_dim=16, n_layers=1, n_heads=2),
+     "0299f903f1ec12edeac63ee4051e7db6db81b574a8e705804e5ca8a4e9d3d96b"),
+], ids=["default", "identity-tokenizer"])
+def test_pinned_fingerprint(config, digest):
+    # the header's bytes, head kind included, are part of every manifest's
+    # checkpoint_fingerprint
+    corpus = generate_synthetic_corpus(SyntheticSpec(), 1)[0]
+    model = DualEncoderModel.initialize(config, corpus, 7)
+    assert model.fingerprint() == reference_fingerprint(model) == digest
+
+
 class TestCheckpointValidation:
     """Every malformed checkpoint fails on load with a DefexError subclass."""
 
@@ -643,7 +657,9 @@ class TestCheckpointValidation:
         lambda meta: meta.update(tokenizer={"kind": "subword"}),
         lambda meta: meta.update(tokenizer=["pieces"]),
         lambda meta: meta.update(head_kind="three_layer"),
-    ], ids=["dim-type", "unknown-key", "heads", "no-pieces", "tokenizer-list", "head-kind"])
+        lambda meta: meta.update(head_kind="identity"),
+    ], ids=["dim-type", "unknown-key", "heads", "no-pieces", "tokenizer-list", "head-kind",
+            "identity-head"])
     def test_malformed_meta(self, saved, change, rewrite_archive):
         def edit(data):
             meta = json.loads(str(data["meta"]))

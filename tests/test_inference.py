@@ -163,7 +163,7 @@ class TestScoreMention:
         mention = tiny_model.mention_vector(sentence, span).values
         for (name, got), (expected_name, definition) in zip(scores, ontology.types):
             assert name == expected_name
-            want = cosine(mention, encode_definition(tiny_model, definition).values)
+            want = cosine(mention, encode_definition(tiny_model, definition))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_stale_index_rejected(self, tiny_model, tiny_world):
@@ -325,14 +325,14 @@ class TestExtract:
 def reference_extract(model, ontology, documents, threshold):
     """Per-candidate extraction: one ``mention_vector`` per candidate and
     ``cosine`` against each ``helpers.encode_definition``."""
-    definitions = [encode_definition(model, d).values for _, d in ontology.types]
+    definitions = [encode_definition(model, d) for _, d in ontology.types]
     records = []
     for doc in documents:
         for sent_idx in sorted({c[0] for c in doc.candidates}):
             for s, start, end in doc.candidates:
                 if s != sent_idx:
                     continue
-                mention = model.mention_vector(doc.sentences[s], (start, end))
+                mention = model.mention_vector(doc.sentences[s], (start, end)).values
                 sims = [cosine(mention, d) for d in definitions]
                 best = int(np.argmax(sims))
                 if sims[best] > threshold:

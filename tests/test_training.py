@@ -69,6 +69,8 @@ class TestTrainConfig:
         {"epochs": 0},
         {"batch_size": 0},
         {"strong_negative_ratio": 1.5},
+        {"margin": math.nan},
+        {"margin": math.inf},
     ])
     def test_invalid(self, kwargs):
         # the strong/random negative mix exists only when warming
@@ -199,8 +201,8 @@ class TestBatchedLoss:
         per_instance = []
         for inst, negatives in items:
             anchor = tiny_model.mention_vector(inst.sentence, (inst.start, inst.end)).values
-            positive = encode_definition(tiny_model, inst.definition).values
-            neg_vecs = [encode_definition(tiny_model, tokens).values for _, tokens in negatives]
+            positive = encode_definition(tiny_model, inst.definition)
+            neg_vecs = [encode_definition(tiny_model, tokens) for _, tokens in negatives]
             per_instance.append(ranking_loss(anchor, positive, neg_vecs, 0.2))
         assert loss == pytest.approx(float(np.mean(per_instance)), abs=1e-10)
 

@@ -76,14 +76,6 @@ class TestStaticEmbedder:
         batch = embedder.embed_all([["x"], tokens, ["y", "z"]])
         np.testing.assert_allclose(batch[1], oracle, atol=1e-12)
 
-    def test_frozen_snapshot(self, tiny_model):
-        model = tiny_model.copy()
-        embedder = StaticEmbedder(model)
-        before = embedder.embed(["stable"])
-        for array in model.definition_encoder.params.values():
-            array += 1.0
-        np.testing.assert_array_equal(embedder.embed(["stable"]), before)
-
     def test_empty_rejected(self, tiny_model):
         with pytest.raises(ArgumentError):
             StaticEmbedder(tiny_model).embed([])
@@ -186,6 +178,18 @@ class TestBuildWarmingSubset:
         assert set(manifest["per_type"]) == set(ontology.names)
         for hits in manifest["per_type"].values():
             assert all({"definition_id", "similarity"} <= set(h) for h in hits)
+
+    def test_reads_the_model_in_place(self, tiny_model, tiny_world, monkeypatch):
+        corpus, ontology, _, _ = tiny_world
+        model = tiny_model.copy()
+        before = {name: array.tobytes() for name, array in model.parameters().items()}
+
+        def fail(self):
+            raise AssertionError("retrieval copied the model")
+
+        monkeypatch.setattr(warming.DualEncoderModel, "copy", fail)
+        build_warming_subset(model, ontology, corpus, RetrievalConfig())
+        assert {name: array.tobytes() for name, array in model.parameters().items()} == before
 
 
 class TestMixedSampler:
