@@ -15,6 +15,10 @@ pass for training.  Pooling reads only the positions its ranges cover, so
 the last block computes queries, feed-forward and output norm only there
 (keys and values still span the whole sequence); a batch in which some row
 is pooled whole runs every position, as definitions always do.
+
+Parameter arrays are read-only outside :meth:`DualEncoderModel.writable`,
+which the optimizer step enters, so :meth:`DualEncoderModel.fingerprint` can
+tell that a model is unchanged without reading its parameters.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 import json
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Sequence
@@ -281,7 +286,8 @@ class DualEncoderModel:
         self.context_encoder = context_encoder
         self.definition_encoder = definition_encoder
         self.ffn_head = ffn_head
-        # (header sources, header, name -> tensor bytes, hex digest) of the
+        _freeze(self.parameters().values())
+        # (header sources, header, hashed parameter dicts, hex digest) of the
         # last fingerprint
         self._hashed = None
 
@@ -320,48 +326,74 @@ class DualEncoderModel:
             params[f"head.{name}"] = array
         return params
 
+    @contextmanager
+    def writable(self):
+        """Let the parameter arrays be written in place for the duration of
+        the ``with`` block, as an optimizer step does.  On exit the arrays
+        of :meth:`parameters` are read-only again and the kept fingerprint is
+        dropped, so the next :meth:`fingerprint` hashes the new state.
+        Outside this block a write to a parameter raises numpy's
+        ``ValueError: assignment destination is read-only``.  The block does
+        not nest, and a :meth:`fingerprint` call inside it freezes the
+        arrays it hashes."""
+        for array in self.parameters().values():
+            array.setflags(write=True)
+        try:
+            yield
+        finally:
+            self._hashed = None
+            _freeze(self.parameters().values())
+
     def fingerprint(self) -> str:
         """Content hash of config, tokenizer, and every parameter tensor:
         sha256 over the config and tokenizer JSON, the head kind
         ``"two_layer"``, then each parameter's name and bytes in name order.
 
-        The digest is kept with the serialized header, the objects it was
-        built from (``config``, ``tokenizer`` and ``tokenizer.pieces``) and
-        an exact copy of every parameter's bytes.  A later
-        call serializes the header again only if one of those objects was
-        replaced; they are compared by identity, not ``==``, because equal
-        configs can serialize differently (``0.0 == -0.0``).  It returns the
-        kept digest only if the parameter names are the same set and each
-        parameter's bytes are the same; any byte difference, from an
-        in-place write or a dtype or shape change, hashes again.  Bytes, not
-        floats, are compared, so ``0.0`` -> ``-0.0`` or a changed NaN
-        payload is a new state.
+        Parameter arrays are read-only outside :meth:`writable`, so an
+        array that is still read-only still holds the bytes it was hashed
+        with.  The digest is kept with the serialized header, the objects
+        the header was built from (``config``, ``tokenizer`` and
+        ``tokenizer.pieces``) and the items of the three parameter dicts.  A
+        later call returns the kept digest without reading a parameter byte
+        when the header objects, the three dicts and the array under every
+        name are the same objects and every array is still read-only.
+        Objects are compared by identity, not ``==``, because equal configs
+        can serialize differently (``0.0 == -0.0``).  In every other case,
+        such as a replaced array or one flagged writable, it hashes from
+        scratch and then freezes the arrays it hashed.  Bytes, not floats,
+        are hashed, so ``0.0`` -> ``-0.0`` or a changed NaN payload is a new
+        state.
+
+        The freshness check cannot see a write made by a caller that flags
+        an array writable itself, writes and freezes it again, nor a write
+        through a view taken inside :meth:`writable` and kept past its exit.
+        No code in this package does either.
         """
         sources = (self.config, self.tokenizer, self.tokenizer.pieces)
-        params = self.parameters()
+        dicts = (self.context_encoder.params, self.definition_encoder.params, self.ffn_head.params)
         header = None
         if self._hashed is not None:
-            kept_sources, kept_header, kept_bytes, kept_digest = self._hashed
+            kept_sources, kept_header, kept_items, kept_digest = self._hashed
             if all(now is then for now, then in zip(sources, kept_sources)):
                 header = kept_header
-                if params.keys() == kept_bytes.keys() and all(
-                    params[name].tobytes() == blob for name, blob in kept_bytes.items()
-                ):
+                if all(_unchanged(params, then, items)
+                       for params, (then, items) in zip(dicts, kept_items)):
                     return kept_digest
-            self._hashed = kept_bytes = None  # drop the old copy before taking the new one
         if header is None:
             header = b"".join((
                 json.dumps(asdict(self.config), sort_keys=True).encode(),
                 json.dumps(self.tokenizer.to_dict(), sort_keys=True).encode(),
                 TwoLayerHead.kind.encode(),
             ))
-        blobs = {name: params[name].tobytes() for name in sorted(params)}
+        params = self.parameters()
         digest = hashlib.sha256(header)
-        for name, blob in blobs.items():
+        for name in sorted(params):
             digest.update(name.encode())
-            digest.update(blob)
+            digest.update(np.ascontiguousarray(params[name]))
+        _freeze(params.values())
         hexdigest = digest.hexdigest()
-        self._hashed = (sources, header, blobs, hexdigest)
+        kept_items = tuple((d, tuple(d.items())) for d in dicts)
+        self._hashed = (sources, header, kept_items, hexdigest)
         return hexdigest
 
     # -- encoding -----------------------------------------------------------
@@ -535,6 +567,21 @@ class DualEncoderModel:
 
         return cls(config, tokenizer, TokenEncoder(config, part("ctx.")),
                    TokenEncoder(config, part("defn.")), TwoLayerHead(part("head.")))
+
+
+def _freeze(arrays) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+def _unchanged(params: dict[str, np.ndarray], kept: dict[str, np.ndarray],
+               items: tuple[tuple[str, np.ndarray], ...]) -> bool:
+    """Whether ``params`` is the dict ``kept`` that held ``items`` when
+    hashed, still holds those read-only arrays under those names, and
+    nothing else."""
+    return params is kept and len(params) == len(items) and all(
+        params.get(name) is array and not array.flags.writeable for name, array in items
+    )
 
 
 def _pooled_positions(weights: np.ndarray, out_rows: np.ndarray, row_starts: list[int]):

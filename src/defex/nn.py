@@ -54,9 +54,12 @@ def linear_backward(dout, cache):
 
 
 def layer_norm_forward(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / width, not .mean: the same reduction and division, without
+    # numpy's Python-level _mean wrapper
+    width = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / width
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gamma * xhat + beta
@@ -66,8 +69,9 @@ def layer_norm_forward(x, gamma, beta, eps=1e-5):
 def layer_norm_backward(dout, cache):
     xhat, inv, gamma = cache
     dxhat = dout * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    width = dout.shape[-1]
+    m1 = dxhat.sum(axis=-1, keepdims=True) / width
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / width
     dx = inv * (dxhat - m1 - xhat * m2)
     axes = tuple(range(dout.ndim - 1))
     dgamma = (dout * xhat).sum(axis=axes)

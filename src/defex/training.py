@@ -55,8 +55,8 @@ class TrainConfig:
             raise ArgumentError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ArgumentError("batch_size must be at least 1")
-        if not self.learning_rate > 0:
-            raise ArgumentError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ArgumentError("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,8 @@ def run_training_loop(model: DualEncoderModel, instances: Sequence[AlignmentInst
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch}, batch starting at {batch_no}"
                 )
-            adam.step(grads)
+            with model.writable():
+                adam.step(grads)
             epoch_loss += loss * len(batch_indices)
         losses.append(epoch_loss / len(instances))
         seconds.append(time.perf_counter() - started)

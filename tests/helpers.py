@@ -74,21 +74,22 @@ def check_gradients(model: DualEncoderModel, items: Sequence[BatchItem], margin:
         chosen = rng.choice(len(coords), size=n_coordinates, replace=False)
         coords = [coords[int(i)] for i in chosen]
     worst = 0.0
-    for name, flat in coords:
-        array = params[name]
-        original = array.flat[flat]
-        h = step * max(1.0, abs(original))
-        array.flat[flat] = original + h
-        plus, _ = batch_loss(model, batch, margin)
-        array.flat[flat] = original - h
-        minus, _ = batch_loss(model, batch, margin)
-        array.flat[flat] = original
-        numeric = (plus - minus) / (2.0 * h)
-        analytic = grads[name].flat[flat]
-        scale = max(abs(analytic), abs(numeric))
-        if scale < 1e-12:
-            continue
-        worst = max(worst, abs(analytic - numeric) / max(scale, 1e-8))
+    with model.writable():
+        for name, flat in coords:
+            array = params[name]
+            original = array.flat[flat]
+            h = step * max(1.0, abs(original))
+            array.flat[flat] = original + h
+            plus, _ = batch_loss(model, batch, margin)
+            array.flat[flat] = original - h
+            minus, _ = batch_loss(model, batch, margin)
+            array.flat[flat] = original
+            numeric = (plus - minus) / (2.0 * h)
+            analytic = grads[name].flat[flat]
+            scale = max(abs(analytic), abs(numeric))
+            if scale < 1e-12:
+                continue
+            worst = max(worst, abs(analytic - numeric) / max(scale, 1e-8))
     return worst
 
 

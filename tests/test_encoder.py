@@ -222,11 +222,12 @@ class TestEncodePooled:
             for name in names:
                 flat = int(np.argmax(np.abs(grads[name])))
                 original = params[name].flat[flat]
-                params[name].flat[flat] = original + 1e-5
-                plus = objective()
-                params[name].flat[flat] = original - 1e-5
-                minus = objective()
-                params[name].flat[flat] = original
+                with model.writable():
+                    params[name].flat[flat] = original + 1e-5
+                    plus = objective()
+                    params[name].flat[flat] = original - 1e-5
+                    minus = objective()
+                    params[name].flat[flat] = original
                 numeric = (plus - minus) / 2e-5
                 assert grads[name].flat[flat] == pytest.approx(numeric, rel=1e-5)
 
@@ -349,15 +350,17 @@ class TestParameterDisjointness:
         words = ["shared", "words", "here"]
         ctx_before = sequence_states(model, CONTEXT, words)[0]
         def_before = sequence_states(model, DEFINITION, words)[0]
-        for array in model.definition_encoder.params.values():
-            array += 0.37
+        with model.writable():
+            for array in model.definition_encoder.params.values():
+                array += 0.37
         np.testing.assert_array_equal(sequence_states(model, CONTEXT, words)[0], ctx_before)
         assert not np.allclose(sequence_states(model, DEFINITION, words)[0], def_before)
 
         model2 = tiny_model.copy()
         def_before2 = sequence_states(model2, DEFINITION, words)[0]
-        for array in model2.context_encoder.params.values():
-            array += 0.37
+        with model2.writable():
+            for array in model2.context_encoder.params.values():
+                array += 0.37
         np.testing.assert_array_equal(sequence_states(model2, DEFINITION, words)[0], def_before2)
 
     def test_head_applies_only_to_definitions(self, tiny_model):
@@ -365,8 +368,9 @@ class TestParameterDisjointness:
         words = ["trigger", "here"]
         ctx_before = sequence_states(model, CONTEXT, words)[0]
         pooled_before = model.mention_vector(words, (0, 0)).values
-        for array in model.ffn_head.params.values():
-            array += 1.5
+        with model.writable():
+            for array in model.ffn_head.params.values():
+                array += 1.5
         np.testing.assert_array_equal(sequence_states(model, CONTEXT, words)[0], ctx_before)
         np.testing.assert_array_equal(model.mention_vector(words, (0, 0)).values, pooled_before)
 
@@ -423,7 +427,8 @@ class TestCheckpoint:
     def test_fingerprint_tracks_parameters(self, tiny_model):
         model = tiny_model.copy()
         before = model.fingerprint()
-        model.context_encoder.params["emb"][0, 0] += 1e-9
+        with model.writable():
+            model.context_encoder.params["emb"][0, 0] += 1e-9
         assert model.fingerprint() != before
 
 
@@ -455,17 +460,21 @@ class TestFingerprintCache:
     def test_signed_zero_is_a_change(self, tiny_model):
         model = tiny_model.copy()
         table, key = param_array(model, "ctx.b0.attn.wq")
-        table[key][1, 2] = 0.0
+        with model.writable():
+            table[key][1, 2] = 0.0
         before = model.fingerprint()
-        table[key][1, 2] = -0.0
+        with model.writable():
+            table[key][1, 2] = -0.0
         self.assert_changed(model, before)
 
     def test_nan_payload_is_a_change(self, tiny_model):
         model = tiny_model.copy()
         table, key = param_array(model, "head.b1")
-        table[key][0] = float_from_bits(0x7FF8000000000001)
+        with model.writable():
+            table[key][0] = float_from_bits(0x7FF8000000000001)
         before = model.fingerprint()
-        table[key][0] = float_from_bits(0x7FF8000000000002)
+        with model.writable():
+            table[key][0] = float_from_bits(0x7FF8000000000002)
         assert np.isnan(table[key][0])
         self.assert_changed(model, before)
 
@@ -529,7 +538,8 @@ class TestFingerprintCache:
         twin = model.copy()
         assert twin.fingerprint() == original
         table, key = param_array(twin, "ctx.emb")
-        table[key][0, 0] += 1.0
+        with twin.writable():
+            table[key][0, 0] += 1.0
         assert twin.fingerprint() != original
         assert model.fingerprint() == original == reference_fingerprint(model)
 
@@ -546,15 +556,127 @@ class TestFingerprintCache:
         digest = model.fingerprint()
         for name, position, bits in writes:
             table, key = param_array(model, name)
-            flat = table[key].reshape(-1)
-            position %= flat.size
-            old_bytes = flat[position].tobytes()
-            flat[position] = float_from_bits(bits)
+            with model.writable():
+                flat = table[key].reshape(-1)
+                position %= flat.size
+                old_bytes = flat[position].tobytes()
+                flat[position] = float_from_bits(bits)
             changed = flat[position].tobytes() != old_bytes
             new = model.fingerprint()
             assert new == reference_fingerprint(model)
             assert (new != digest) == changed
             digest = new
+
+    @staticmethod
+    def count_hashing(monkeypatch):
+        import defex.encoder as encoder_module
+
+        calls = []
+        original = encoder_module.hashlib.sha256
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(encoder_module.hashlib, "sha256", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_flagged_writable_is_rehashed(self, tiny_model, monkeypatch, name):
+        """An array flagged writable may have been written, whatever its
+        bytes now hold, so it is hashed again and frozen."""
+        model = tiny_model.copy()
+        before = model.fingerprint()
+        table, key = param_array(model, name)
+        table[key].setflags(write=True)
+        calls = self.count_hashing(monkeypatch)
+        assert model.fingerprint() == before
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert before == reference_fingerprint(model)
+        assert not table[key].flags.writeable
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_replaced_writable_array_is_rehashed(self, tiny_model, monkeypatch, name):
+        model = tiny_model.copy()
+        before = model.fingerprint()
+        table, key = param_array(model, name)
+        table[key] = table[key].copy()
+        assert table[key].flags.writeable
+        calls = self.count_hashing(monkeypatch)
+        assert model.fingerprint() == before
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert before == reference_fingerprint(model)
+        assert not table[key].flags.writeable
+
+    def test_cached_call_reads_no_parameter_bytes(self):
+        """A cached fingerprint allocates nothing near a parameter's size:
+        it neither copies nor compares tensor bytes."""
+        import tracemalloc
+
+        corpus = generate_synthetic_corpus(SyntheticSpec(), 1)[0]
+        model = DualEncoderModel.initialize(EncoderConfig(), corpus, 7)
+        digest = model.fingerprint()
+        tracemalloc.start()
+        try:
+            assert model.fingerprint() == digest
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def trained_for_one_epoch(model):
+    from defex.training import TrainConfig, pretrain
+
+    corpus = generate_synthetic_corpus(
+        SyntheticSpec(n_types=4, mentions_per_type=4, instances_per_definition=4,
+                      n_distractor_definitions=2, neighbors_per_type=1), seed=5)[0]
+    return pretrain(model, corpus, TrainConfig(epochs=1, batch_size=8))[0]
+
+
+def loaded(model, tmp_path):
+    model.save(tmp_path / "model.npz")
+    return DualEncoderModel.load(tmp_path / "model.npz")
+
+
+class TestReadOnlyParameters:
+    """Parameters can be written only inside ``writable()``."""
+
+    @pytest.mark.parametrize("make", [
+        lambda model, tmp_path: DualEncoderModel.initialize(model.config, ["some", "words"], 1),
+        lambda model, tmp_path: model.copy(),
+        loaded,
+        lambda model, tmp_path: trained_for_one_epoch(model.copy()),
+    ], ids=["initialize", "copy", "load", "pretrain"])
+    def test_read_only_after(self, tiny_model, tmp_path, make):
+        model = make(tiny_model, tmp_path)
+        for name, array in model.parameters().items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+
+    def test_writable_block(self, tiny_model):
+        model = tiny_model.copy()
+        before = model.fingerprint()
+        with model.writable():
+            assert all(a.flags.writeable for a in model.parameters().values())
+            model.ffn_head.params["b2"][0] += 1.0
+        assert not any(a.flags.writeable for a in model.parameters().values())
+        assert model.fingerprint() == reference_fingerprint(model) != before
+
+    def test_frozen_again_after_an_error(self, tiny_model):
+        model = tiny_model.copy()
+        with pytest.raises(RuntimeError), model.writable():
+            raise RuntimeError("inside the block")
+        assert not any(a.flags.writeable for a in model.parameters().values())
+
+    def test_loaded_checkpoint_trains(self, tiny_model, tmp_path):
+        model = loaded(tiny_model, tmp_path)
+        before = model.fingerprint()
+        trained_for_one_epoch(model)
+        assert model.fingerprint() == reference_fingerprint(model) != before
 
 
 @pytest.mark.parametrize("config, digest", [

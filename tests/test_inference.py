@@ -170,9 +170,24 @@ class TestScoreMention:
         _, ontology, docs, _ = tiny_world
         model = tiny_model.copy()
         index = build_definition_index(model, ontology)
-        model.context_encoder.params["emb"][0, 0] += 1.0
+        with model.writable():
+            model.context_encoder.params["emb"][0, 0] += 1.0
         with pytest.raises(FingerprintError):
             score_mention(model, index, docs[0].sentences[0], (0, 0))
+
+    @pytest.mark.parametrize("side", ["context_encoder", "definition_encoder", "ffn_head"])
+    def test_write_inside_writable_is_stale(self, tiny_model, tiny_world, side):
+        """A write through the sanctioned path fails the freshness check,
+        also once a call has kept the fingerprint."""
+        _, ontology, docs, _ = tiny_world
+        model = tiny_model.copy()
+        index = build_definition_index(model, ontology)
+        sentence = docs[0].sentences[0]
+        score_mention(model, index, sentence, (0, 0))
+        with model.writable():
+            next(iter(getattr(model, side).params.values())).flat[-1] += 1e-12
+        with pytest.raises(FingerprintError):
+            score_mention(model, index, sentence, (0, 0))
 
     def test_context_calls_counted_per_sentence(self, tiny_model, tiny_world):
         _, ontology, docs, _ = tiny_world
@@ -196,7 +211,8 @@ def replace_config(model):  # an equal config that serializes differently: 0.0 =
 
 
 def write_head_w2(model):
-    model.ffn_head.params["w2"][0, 0] += 1.0
+    with model.writable():
+        model.ffn_head.params["w2"][0, 0] += 1.0
 
 
 class TestFreshnessAfterWarmCache:
@@ -431,7 +447,8 @@ class TestBatchedExtraction:
     def test_non_finite_score_raises(self, tiny_model, tiny_world):
         _, ontology, docs, _ = tiny_world
         model = tiny_model.copy()
-        model.context_encoder.params["b0.attn.wq"][0, 0] = np.nan
+        with model.writable():
+            model.context_encoder.params["b0.attn.wq"][0, 0] = np.nan
         index = build_definition_index(model, ontology)
         sentence = docs[0].sentences[docs[0].candidates[0][0]]
         with pytest.raises(NumericalError):

@@ -58,6 +58,28 @@ def test_gelu_equals_closed_forms_bit_for_bit():
     assert dx.tobytes() == expected_dx.tobytes()
 
 
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 64), (2, 5, 61), (4, 3, 128), (2, 1, 1)])
+def test_layer_norm_equals_mean_forms_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(scale=3.0, size=shape) + rng.uniform(-5.0, 5.0)
+    gamma = rng.normal(size=shape[-1:])
+    beta = rng.normal(size=shape[-1:])
+    dout = rng.normal(size=shape)
+    out, cache = nn.layer_norm_forward(x, gamma, beta)
+    dx, dgamma, dbeta = nn.layer_norm_backward(dout, cache)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = xc * inv
+    dxhat = dout * gamma
+    expected_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert out.tobytes() == (gamma * xhat + beta).tobytes()
+    assert dx.tobytes() == expected_dx.tobytes()
+    axes = tuple(range(len(shape) - 1))
+    assert dgamma.tobytes() == (dout * xhat).sum(axis=axes).tobytes()
+    assert dbeta.tobytes() == dout.sum(axis=axes).tobytes()
+
 def test_linear_backward():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 5, 4))

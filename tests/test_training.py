@@ -71,6 +71,7 @@ class TestTrainConfig:
         {"strong_negative_ratio": 1.5},
         {"margin": math.nan},
         {"margin": math.inf},
+        {"learning_rate": math.inf},
     ])
     def test_invalid(self, kwargs):
         # the strong/random negative mix exists only when warming
@@ -273,7 +274,8 @@ class TestBatchedLoss:
             model = tiny_model.copy()
             batch = prepare_batch(model, items)
             loss_before, grads, _ = loss_and_gradients(model, batch, margin=0.2)
-            Adam(model.parameters(), lr=lr).step(grads)
+            with model.writable():
+                Adam(model.parameters(), lr=lr).step(grads)
             loss_after, _ = batch_loss(model, prepare_batch(model, items), margin=0.2)
             if loss_after < loss_before:
                 passed = True
@@ -389,7 +391,8 @@ class TestPretrain:
 
     def test_non_finite_loss_aborts(self):
         model, corpus = self.small_setup()
-        model.context_encoder.params["emb"][:] = np.nan
+        with model.writable():
+            model.context_encoder.params["emb"][:] = np.nan
         with pytest.raises(NumericalError, match="batch"):
             pretrain(model, corpus, TrainConfig(epochs=1))
 
