@@ -26,6 +26,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     SyntheticSpec,
+    check_json_fields,
     generate_synthetic_corpus,
     json_type_check,
     load_alignment_corpus,
@@ -101,15 +102,8 @@ def _check_value(key: str, value, annotation) -> None:
 
 
 def _build_section(name: str, cls, payload, seed: int):
-    if not isinstance(payload, dict):
-        raise ValidationError(f"config section {name!r} must be an object")
-    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValidationError(f"unknown key(s) in config section {name!r}: {sorted(unknown)}")
-    types = typing.get_type_hints(cls)
-    for key, value in payload.items():
-        _check_value(f"{name}.{key}", value, types[key])
-    if "seed" in types:
+    check_json_fields(cls, payload, f"config section {name!r}")
+    if "seed" in typing.get_type_hints(cls):
         payload = dict(payload)
         payload.setdefault("seed", seed)
     return cls(**payload)

@@ -323,6 +323,23 @@ def json_type_check(annotation) -> tuple[Callable[[object], bool], str]:
     return (lambda v: type(v) is annotation), _JSON_NAMES[annotation]
 
 
+def check_json_fields(cls, payload, where: str) -> None:
+    """Raise :class:`ValidationError` unless ``payload`` is a JSON object
+    whose every key is a field of the dataclass ``cls`` holding a value of
+    the field's type (see :func:`json_type_check`).  ``where`` names the
+    object in messages."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{where} must be an object")
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
+    for key, value in payload.items():
+        check, kind = json_type_check(types[key])
+        if not check(value):
+            raise ValidationError(f"{where} key {key!r} must be {kind}, got {value!r}")
+
+
 def _read_lines(path) -> Iterator[tuple[int, dict]]:
     path = Path(path)
     if not path.exists():
@@ -455,19 +472,16 @@ def subsample_per_definition(corpus: AlignmentCorpus, k: int, seed) -> Alignment
 
 
 def _load_unique(path, cls, build, key, what: str):
-    """``build`` the records of a JSONL file.  If it rejects them, the file
-    is read again for the line of the first record whose ``key`` an earlier
-    record has; with no key repeated, the rejection stands."""
-    records = tuple(record for _, record in _read_records(path, cls))
-    try:
-        return build(records)
-    except ValidationError:
-        seen = set()
-        for lineno, record in _read_records(path, cls):
-            if key(record) in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate {what} {key(record)!r}") from None
-            seen.add(key(record))
-        raise
+    """``build`` the records of a JSONL file, rejecting the first record
+    whose ``key`` an earlier record has as ``path:line: duplicate <what>
+    <key>``."""
+    records, seen = [], set()
+    for lineno, record in _read_records(path, cls):
+        if key(record) in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate {what} {key(record)!r}")
+        seen.add(key(record))
+        records.append(record)
+    return build(tuple(records))
 
 
 def load_ontology(path) -> EventOntology:
@@ -483,14 +497,7 @@ def save_ontology(ontology: EventOntology, path) -> None:
 
 
 def load_documents(path) -> tuple[Document, ...]:
-    docs = []
-    seen = set()
-    for lineno, doc in _read_records(path, Document):
-        if doc.doc_id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        docs.append(doc)
-    return tuple(docs)
+    return _load_unique(path, Document, tuple, lambda doc: doc.doc_id, "doc_id")
 
 
 def save_documents(documents: Sequence[Document], path) -> None:

@@ -8,6 +8,12 @@ every sub-token state through a two-layer feed-forward head before
 averaging.  Vectors are stored un-normalized; cosine normalizes at
 comparison time.
 
+All parameters live in one table, :attr:`DualEncoderModel.params`, keyed by
+full name under three prefixes: ``ctx.`` (context encoder), ``defn.``
+(definition encoder) and ``head.``.  Checkpoints, the fingerprint, the
+optimizer and every gradient use these names; the two encoders and the head
+are views that read their prefix of the table.
+
 One pooling path serves training, retrieval, indexing and extraction:
 :meth:`DualEncoderModel.encode_pooled` encodes id sequences in length-sorted
 padded batches and averages inclusive sub-token ranges, with a backward
@@ -37,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
+from .corpus import check_json_fields
 from .errors import (
     ArgumentError,
     DegenerateVectorError,
@@ -148,49 +155,18 @@ def cosine(u, v) -> float:
 
 
 class TokenEncoder:
-    """One transformer encoder: embeddings + pre-norm blocks + final norm."""
+    """One transformer encoder: embeddings + pre-norm blocks + final norm.
 
-    def __init__(self, config: EncoderConfig, params: dict[str, np.ndarray]):
+    A view over the model's parameter table: it reads the parameters whose
+    names start with ``prefix`` and keeps none of its own."""
+
+    def __init__(self, config: EncoderConfig, params: dict[str, np.ndarray], prefix: str):
         self.config = config
         self.params = params
+        self.prefix = prefix
         self._positions = nn.sinusoidal_positions(
             config.max_sequence_length, config.embedding_dim
         ) * config.position_scale
-
-    @classmethod
-    def create(cls, config: EncoderConfig, vocab_size: int, rng: np.random.Generator):
-        d = config.embedding_dim
-        h = config.block_hidden
-        std = config.init_std
-        # residual branches start small so token identity dominates the
-        # stream early; attention/ffn influence grows only if training asks
-        factor = config.residual_init_scale
-        if factor is None:
-            factor = 1.0 / math.sqrt(2.0 * config.n_layers)
-        residual_std = std * factor
-        params: dict[str, np.ndarray] = {}
-        params["emb"] = rng.normal(0.0, std, size=(vocab_size, d))
-        for layer in range(config.n_layers):
-            p = f"b{layer}"
-            params[f"{p}.ln1.g"] = np.ones(d)
-            params[f"{p}.ln1.b"] = np.zeros(d)
-            for name in ("wq", "wk", "wv"):
-                params[f"{p}.attn.{name}"] = rng.normal(0.0, std, size=(d, d))
-            params[f"{p}.attn.wo"] = rng.normal(0.0, residual_std, size=(d, d))
-            for name in ("bq", "bk", "bv", "bo"):
-                params[f"{p}.attn.{name}"] = np.zeros(d)
-            params[f"{p}.ln2.g"] = np.ones(d)
-            params[f"{p}.ln2.b"] = np.zeros(d)
-            params[f"{p}.ffn.w1"] = rng.normal(0.0, std, size=(d, h))
-            params[f"{p}.ffn.b1"] = np.zeros(h)
-            params[f"{p}.ffn.w2"] = rng.normal(0.0, residual_std, size=(h, d))
-            params[f"{p}.ffn.b2"] = np.zeros(d)
-        params["out_ln.g"] = np.ones(d)
-        params["out_ln.b"] = np.zeros(d)
-        return cls(config, params)
-
-    def copy(self) -> "TokenEncoder":
-        return TokenEncoder(self.config, {k: v.copy() for k, v in self.params.items()})
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, keep_caches: bool = False,
                 positions=None):
@@ -206,34 +182,37 @@ class TokenEncoder:
                 f"sequence of {length} sub-tokens exceeds the maximum of "
                 f"{self.config.max_sequence_length}; refusing to truncate"
             )
-        x = self.params["emb"][ids] + self._positions[:length]
+        p = self.prefix
+        x = self.params[p + "emb"][ids] + self._positions[:length]
         caches = []
         last = self.config.n_layers - 1
         for layer in range(self.config.n_layers):
-            x, cache = nn.block_forward(x, self.params, f"b{layer}", mask, self.config.n_heads,
+            x, cache = nn.block_forward(x, self.params, f"{p}b{layer}", mask, self.config.n_heads,
                                         keep_caches, positions if layer == last else None)
             caches.append(cache)
-        out, ln_cache = nn.layer_norm_forward(x, self.params["out_ln.g"], self.params["out_ln.b"])
+        out, ln_cache = nn.layer_norm_forward(x, self.params[p + "out_ln.g"],
+                                              self.params[p + "out_ln.b"])
         return out, (ids, caches, ln_cache) if keep_caches else None
 
     def backward(self, d_states: np.ndarray, cache):
+        """Gradients keyed by full parameter name."""
         ids, caches, ln_cache = cache
-        grads: dict[str, np.ndarray] = {}
+        p = self.prefix
         dx, dg, db = nn.layer_norm_backward(d_states, ln_cache)
-        grads["out_ln.g"] = dg
-        grads["out_ln.b"] = db
+        grads = {p + "out_ln.g": dg, p + "out_ln.b": db}
         for layer in reversed(range(self.config.n_layers)):
-            dx, block_grads = nn.block_backward(dx, caches[layer], self.params, f"b{layer}")
+            dx, block_grads = nn.block_backward(dx, caches[layer], self.params, f"{p}b{layer}")
             grads.update(block_grads)
-        demb = np.zeros_like(self.params["emb"])
+        demb = np.zeros_like(self.params[p + "emb"])
         np.add.at(demb, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
-        grads["emb"] = demb
+        grads[p + "emb"] = demb
         return grads
 
 
 class TwoLayerHead:
     """Affine -> nonlinearity -> affine map applied to definition sub-token
-    states before averaging."""
+    states before averaging; a view over the ``head.`` parameters of the
+    model's table."""
 
     # the only head: checkpoints record it as ``head_kind`` and the
     # fingerprint header ends with it
@@ -242,33 +221,18 @@ class TwoLayerHead:
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
 
-    @classmethod
-    def create(cls, config: EncoderConfig, rng: np.random.Generator):
-        d = config.embedding_dim
-        h = config.head_hidden
-        params = {
-            "w1": rng.normal(0.0, config.init_std, size=(d, h)),
-            "b1": np.zeros(h),
-            "w2": rng.normal(0.0, config.init_std, size=(h, d)),
-            "b2": np.zeros(d),
-        }
-        return cls(params)
-
-    def copy(self) -> "TwoLayerHead":
-        return TwoLayerHead({k: v.copy() for k, v in self.params.items()})
-
     def forward(self, x):
-        f1, f1_cache = nn.linear_forward(x, self.params["w1"], self.params["b1"])
+        f1, f1_cache = nn.linear_forward(x, self.params["head.w1"], self.params["head.b1"])
         a1, gelu_cache = nn.gelu_forward(f1)
-        out, f2_cache = nn.linear_forward(a1, self.params["w2"], self.params["b2"])
+        out, f2_cache = nn.linear_forward(a1, self.params["head.w2"], self.params["head.b2"])
         return out, (f1_cache, gelu_cache, f2_cache)
 
     def backward(self, dout, cache):
         f1_cache, gelu_cache, f2_cache = cache
         grads = {}
-        da1, grads["w2"], grads["b2"] = nn.linear_backward(dout, f2_cache)
+        da1, grads["head.w2"], grads["head.b2"] = nn.linear_backward(dout, f2_cache)
         df1 = nn.gelu_backward(da1, gelu_cache)
-        dx, grads["w1"], grads["b1"] = nn.linear_backward(df1, f1_cache)
+        dx, grads["head.w1"], grads["head.b1"] = nn.linear_backward(df1, f1_cache)
         return dx, grads
 
 
@@ -279,16 +243,16 @@ class DualEncoderModel:
     applies only to definition states.
     """
 
-    def __init__(self, config: EncoderConfig, tokenizer, context_encoder: TokenEncoder,
-                 definition_encoder: TokenEncoder, ffn_head):
+    def __init__(self, config: EncoderConfig, tokenizer, params: dict[str, np.ndarray]):
         self.config = config
         self.tokenizer = tokenizer
-        self.context_encoder = context_encoder
-        self.definition_encoder = definition_encoder
-        self.ffn_head = ffn_head
-        _freeze(self.parameters().values())
-        # (header sources, header, hashed parameter dicts, hex digest) of the
-        # last fingerprint
+        self.params = params
+        self.context_encoder = TokenEncoder(config, params, _PREFIX[CONTEXT])
+        self.definition_encoder = TokenEncoder(config, params, _PREFIX[DEFINITION])
+        self.ffn_head = TwoLayerHead(params)
+        _freeze(params.values())
+        # (header sources, header, hashed parameter table, its items, hex
+        # digest) of the last fingerprint
         self._hashed = None
 
     # -- construction -------------------------------------------------------
@@ -300,49 +264,31 @@ class DualEncoderModel:
         words = word_source.all_words() if hasattr(word_source, "all_words") else word_source
         tokenizer = build_tokenizer(config.tokenizer, words, config.vocab_size)
         rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x5EED])
-        ctx = TokenEncoder.create(config, len(tokenizer), rng)
-        defn = TokenEncoder.create(config, len(tokenizer), rng)
-        head = TwoLayerHead.create(config, rng)
-        return cls(config, tokenizer, ctx, defn, head)
+        return cls(config, tokenizer, _draw_parameters(config, len(tokenizer), rng))
 
     def copy(self) -> "DualEncoderModel":
-        return DualEncoderModel(
-            self.config,
-            self.tokenizer,
-            self.context_encoder.copy(),
-            self.definition_encoder.copy(),
-            self.ffn_head.copy(),
-        )
+        return DualEncoderModel(self.config, self.tokenizer,
+                                {name: array.copy() for name, array in self.params.items()})
 
     # -- parameter plumbing -------------------------------------------------
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {}
-        for name, array in self.context_encoder.params.items():
-            params[f"ctx.{name}"] = array
-        for name, array in self.definition_encoder.params.items():
-            params[f"defn.{name}"] = array
-        for name, array in self.ffn_head.params.items():
-            params[f"head.{name}"] = array
-        return params
 
     @contextmanager
     def writable(self):
         """Let the parameter arrays be written in place for the duration of
         the ``with`` block, as an optimizer step does.  On exit the arrays
-        of :meth:`parameters` are read-only again and the kept fingerprint is
+        of :attr:`params` are read-only again and the kept fingerprint is
         dropped, so the next :meth:`fingerprint` hashes the new state.
         Outside this block a write to a parameter raises numpy's
         ``ValueError: assignment destination is read-only``.  The block does
         not nest, and a :meth:`fingerprint` call inside it freezes the
         arrays it hashes."""
-        for array in self.parameters().values():
+        for array in self.params.values():
             array.setflags(write=True)
         try:
             yield
         finally:
             self._hashed = None
-            _freeze(self.parameters().values())
+            _freeze(self.params.values())
 
     def fingerprint(self) -> str:
         """Content hash of config, tokenizer, and every parameter tensor:
@@ -353,10 +299,10 @@ class DualEncoderModel:
         array that is still read-only still holds the bytes it was hashed
         with.  The digest is kept with the serialized header, the objects
         the header was built from (``config``, ``tokenizer`` and
-        ``tokenizer.pieces``) and the items of the three parameter dicts.  A
-        later call returns the kept digest without reading a parameter byte
-        when the header objects, the three dicts and the array under every
-        name are the same objects and every array is still read-only.
+        ``tokenizer.pieces``) and the items of the parameter table.  A later
+        call returns the kept digest without reading a parameter byte when
+        the header objects, the table and the array under every name are the
+        same objects and every array is still read-only.
         Objects are compared by identity, not ``==``, because equal configs
         can serialize differently (``0.0 == -0.0``).  In every other case,
         such as a replaced array or one flagged writable, it hashes from
@@ -370,14 +316,13 @@ class DualEncoderModel:
         No code in this package does either.
         """
         sources = (self.config, self.tokenizer, self.tokenizer.pieces)
-        dicts = (self.context_encoder.params, self.definition_encoder.params, self.ffn_head.params)
+        params = self.params
         header = None
         if self._hashed is not None:
-            kept_sources, kept_header, kept_items, kept_digest = self._hashed
+            kept_sources, kept_header, kept, items, kept_digest = self._hashed
             if all(now is then for now, then in zip(sources, kept_sources)):
                 header = kept_header
-                if all(_unchanged(params, then, items)
-                       for params, (then, items) in zip(dicts, kept_items)):
+                if _unchanged(params, kept, items):
                     return kept_digest
         if header is None:
             header = b"".join((
@@ -385,15 +330,13 @@ class DualEncoderModel:
                 json.dumps(self.tokenizer.to_dict(), sort_keys=True).encode(),
                 TwoLayerHead.kind.encode(),
             ))
-        params = self.parameters()
         digest = hashlib.sha256(header)
         for name in sorted(params):
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(params[name]))
         _freeze(params.values())
         hexdigest = digest.hexdigest()
-        kept_items = tuple((d, tuple(d.items())) for d in dicts)
-        self._hashed = (sources, header, kept_items, hexdigest)
+        self._hashed = (sources, header, params, tuple(params.items()), hexdigest)
         return hexdigest
 
     # -- encoding -----------------------------------------------------------
@@ -436,7 +379,7 @@ class DualEncoderModel:
 
         Returns ``(vectors, backward)``.  With ``keep_caches``,
         ``backward(d_vectors)`` maps the gradient of the vectors to
-        gradients keyed like :meth:`parameters`; otherwise it is ``None``.
+        gradients keyed like :attr:`params`; otherwise it is ``None``.
         """
         encoder = self._encoder(side)
         head = head and side == DEFINITION
@@ -488,10 +431,8 @@ class DualEncoderModel:
                 d_states = np.add.reduceat(weights[:, :, None] * share, row_starts, axis=0)
                 batch_grads = {}
                 if head:
-                    d_states, head_grads = self.ffn_head.backward(d_states, head_cache)
-                    batch_grads = {f"head.{name}": g for name, g in head_grads.items()}
-                for name, g in encoder.backward(d_states, cache).items():
-                    batch_grads[_PREFIX[side] + name] = g
+                    d_states, batch_grads = self.ffn_head.backward(d_states, head_cache)
+                batch_grads.update(encoder.backward(d_states, cache))
                 for name, g in batch_grads.items():
                     grads[name] = grads[name] + g if name in grads else g
             return grads
@@ -518,7 +459,7 @@ class DualEncoderModel:
             "tokenizer": self.tokenizer.to_dict(),
             "head_kind": TwoLayerHead.kind,
         }
-        arrays = {f"param/{k}": v for k, v in self.parameters().items()}
+        arrays = {f"param/{k}": v for k, v in self.params.items()}
         np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
     @classmethod
@@ -536,6 +477,7 @@ class DualEncoderModel:
         if "config" not in meta or "tokenizer" not in meta:
             raise ValidationError(f"{path} is not a model checkpoint: its meta has no config "
                                   f"or tokenizer")
+        check_json_fields(EncoderConfig, meta["config"], f"checkpoint {path} config")
         try:
             config = EncoderConfig(**meta["config"])
             tokenizer = tokenizer_from_dict(meta["tokenizer"])
@@ -544,8 +486,8 @@ class DualEncoderModel:
         head_kind = meta.get("head_kind", TwoLayerHead.kind)
         if head_kind != TwoLayerHead.kind:
             raise ValidationError(f"{path}: unknown head kind {head_kind!r}")
-        expected = {f"param/{name}": shape
-                    for name, shape in _parameter_shapes(config, len(tokenizer)).items()}
+        drawn = _draw_parameters(config, len(tokenizer), np.random.default_rng(0))
+        expected = {f"param/{name}": array.shape for name, array in drawn.items()}
         if arrays.keys() != expected.keys():
             raise ValidationError(
                 f"{path}: checkpoint arrays do not match its config: missing "
@@ -560,13 +502,7 @@ class DualEncoderModel:
                 )
             if not np.all(np.isfinite(array)):
                 raise NumericalError(f"{path}: {key} holds NaN or inf")
-
-        def part(prefix):
-            prefix = f"param/{prefix}"
-            return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-
-        return cls(config, tokenizer, TokenEncoder(config, part("ctx.")),
-                   TokenEncoder(config, part("defn.")), TwoLayerHead(part("head.")))
+        return cls(config, tokenizer, {key.removeprefix("param/"): a for key, a in arrays.items()})
 
 
 def _freeze(arrays) -> None:
@@ -576,7 +512,7 @@ def _freeze(arrays) -> None:
 
 def _unchanged(params: dict[str, np.ndarray], kept: dict[str, np.ndarray],
                items: tuple[tuple[str, np.ndarray], ...]) -> bool:
-    """Whether ``params`` is the dict ``kept`` that held ``items`` when
+    """Whether ``params`` is the table ``kept`` that held ``items`` when
     hashed, still holds those read-only arrays under those names, and
     nothing else."""
     return params is kept and len(params) == len(items) and all(
@@ -610,16 +546,44 @@ def _pooled_positions(weights: np.ndarray, out_rows: np.ndarray, row_starts: lis
     return positions, np.take_along_axis(weights, picked[out_rows], axis=1)
 
 
-def _parameter_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter :meth:`DualEncoderModel.initialize`
-    draws, keyed like :meth:`DualEncoderModel.parameters`."""
-    rng = np.random.default_rng(0)
-    encoder = TokenEncoder.create(config, vocab_size, rng)
-    shapes = {prefix + name: array.shape
-              for prefix in _PREFIX.values() for name, array in encoder.params.items()}
-    shapes.update({f"head.{name}": array.shape
-                   for name, array in TwoLayerHead.create(config, rng).params.items()})
-    return shapes
+def _draw_parameters(config: EncoderConfig, vocab_size: int,
+                     rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Fresh parameters keyed by full name, drawn in a fixed order: the
+    context encoder, the definition encoder, then the head."""
+    d = config.embedding_dim
+    h = config.block_hidden
+    std = config.init_std
+    # residual branches start small so token identity dominates the
+    # stream early; attention/ffn influence grows only if training asks
+    factor = config.residual_init_scale
+    if factor is None:
+        factor = 1.0 / math.sqrt(2.0 * config.n_layers)
+    residual_std = std * factor
+    params: dict[str, np.ndarray] = {}
+    for prefix in _PREFIX.values():
+        params[f"{prefix}emb"] = rng.normal(0.0, std, size=(vocab_size, d))
+        for layer in range(config.n_layers):
+            p = f"{prefix}b{layer}"
+            params[f"{p}.ln1.g"] = np.ones(d)
+            params[f"{p}.ln1.b"] = np.zeros(d)
+            for name in ("wq", "wk", "wv"):
+                params[f"{p}.attn.{name}"] = rng.normal(0.0, std, size=(d, d))
+            params[f"{p}.attn.wo"] = rng.normal(0.0, residual_std, size=(d, d))
+            for name in ("bq", "bk", "bv", "bo"):
+                params[f"{p}.attn.{name}"] = np.zeros(d)
+            params[f"{p}.ln2.g"] = np.ones(d)
+            params[f"{p}.ln2.b"] = np.zeros(d)
+            params[f"{p}.ffn.w1"] = rng.normal(0.0, std, size=(d, h))
+            params[f"{p}.ffn.b1"] = np.zeros(h)
+            params[f"{p}.ffn.w2"] = rng.normal(0.0, residual_std, size=(h, d))
+            params[f"{p}.ffn.b2"] = np.zeros(d)
+        params[f"{prefix}out_ln.g"] = np.ones(d)
+        params[f"{prefix}out_ln.b"] = np.zeros(d)
+    params["head.w1"] = rng.normal(0.0, std, size=(d, config.head_hidden))
+    params["head.b1"] = np.zeros(config.head_hidden)
+    params["head.w2"] = rng.normal(0.0, std, size=(config.head_hidden, d))
+    params["head.b2"] = np.zeros(d)
+    return params
 
 
 def load_archive(path, what: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -92,11 +92,9 @@ class TrainReport:
 
 
 def sample_negatives(definitions: Mapping[str, Tokens], positive_id: str, n: int,
-                     rng) -> list[tuple[str, Tokens]]:
+                     rng: np.random.Generator) -> list[tuple[str, Tokens]]:
     """Draw ``n`` distinct definitions uniformly without replacement,
-    excluding the positive.  ``rng`` may be a Generator or a seed."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    excluding the positive."""
     ids = sorted(k for k in definitions if k != positive_id)
     if len(ids) < n:
         raise ConfigurationError(
@@ -198,7 +196,7 @@ def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: fl
     """Batch loss plus analytic gradients for every trainable parameter.
 
     Returns ``(loss, grads, diagnostics)`` where ``grads`` is keyed like
-    ``model.parameters()``.
+    ``model.params``.
     """
     anchors, defvecs, (back_c, back_d) = _batch_vectors(model, batch)
     loss, active, geometry, diag = _hinge_terms(anchors, defvecs, margin)
@@ -248,7 +246,7 @@ def run_training_loop(model: DualEncoderModel, instances: Sequence[AlignmentInst
     the last state kept (no dev-set selection)."""
     if not instances:
         raise ConfigurationError("no training instances: nothing to train on")
-    adam = Adam(model.parameters(), lr=config.learning_rate)
+    adam = Adam(model.params, lr=config.learning_rate)
     rng = _loop_rng(config.seed)
     losses, seconds = [], []
     for epoch in range(config.epochs):

@@ -67,7 +67,7 @@ def check_gradients(model: DualEncoderModel, items: Sequence[BatchItem], margin:
     of coordinates."""
     batch = prepare_batch(model, items)
     _, grads, _ = training.loss_and_gradients(model, batch, margin)
-    params = model.parameters()
+    params = model.params
     coords = [(name, flat) for name in sorted(params) for flat in range(params[name].size)]
     rng = np.random.default_rng(seed)
     if len(coords) > n_coordinates:
@@ -106,7 +106,6 @@ def pool_full_states(model: DualEncoderModel, side: str, id_sequences, ranges):
     ``(row, lo, hi)`` range is averaged.  Returns ``(vectors, backward)``
     like ``encode_pooled`` with ``keep_caches``."""
     encoder = model.context_encoder if side == CONTEXT else model.definition_encoder
-    prefix = "ctx." if side == CONTEXT else "defn."
     states, _, cache = model.encode_batch(side, id_sequences, keep_caches=True)
     head_cache = None
     if side == DEFINITION:
@@ -119,9 +118,8 @@ def pool_full_states(model: DualEncoderModel, side: str, id_sequences, ranges):
             d_states[row, lo : hi + 1] += d / (hi - lo + 1)
         grads = {}
         if side == DEFINITION:
-            d_states, head_grads = model.ffn_head.backward(d_states, head_cache)
-            grads = {f"head.{name}": g for name, g in head_grads.items()}
-        grads.update({prefix + name: g for name, g in encoder.backward(d_states, cache).items()})
+            d_states, grads = model.ffn_head.backward(d_states, head_cache)
+        grads.update(encoder.backward(d_states, cache))
         return grads
 
     return vectors, backward
@@ -146,7 +144,7 @@ def reference_fingerprint(model):
     digest.update(json.dumps(asdict(model.config), sort_keys=True).encode())
     digest.update(json.dumps(model.tokenizer.to_dict(), sort_keys=True).encode())
     digest.update(b"two_layer")
-    params = model.parameters()
+    params = model.params
     for name in sorted(params):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(params[name]).tobytes())

@@ -75,7 +75,7 @@ class TestEncodeTokens:
         config = EncoderConfig(embedding_dim=32, n_layers=1, n_heads=4)
         model = DualEncoderModel.initialize(config, corpus, seed=0)
         model.tokenizer = tokenizer
-        model.context_encoder.params["emb"] = np.random.default_rng(0).normal(
+        model.params["ctx.emb"] = np.random.default_rng(0).normal(
             0, 0.05, size=(len(tokenizer), 32)
         )
         states, spans = sequence_states(model, CONTEXT, ["unhappiness"])
@@ -218,7 +218,7 @@ class TestEncodePooled:
             _, backward = model.encode_pooled(side, seqs, ranges, keep_caches=True)
             grads = backward(weights)
             assert all(name.startswith(("ctx.", "defn.", "head.")) for name in grads)
-            params = model.parameters()
+            params = model.params
             for name in names:
                 flat = int(np.argmax(np.abs(grads[name])))
                 original = params[name].flat[flat]
@@ -295,14 +295,14 @@ class TestEncodeDefinition:
     def test_matches_per_token_oracle(self, tiny_model):
         tokens = ["four", "random", "definition", "tokens"]
         states, _ = sequence_states(tiny_model, DEFINITION, tokens)
-        head = tiny_model.ffn_head.params
+        params = tiny_model.params
         total = np.zeros(states.shape[1])
         from scipy.special import erf
 
         for row in states:
-            pre = row @ head["w1"] + head["b1"]
+            pre = row @ params["head.w1"] + params["head.b1"]
             act = 0.5 * pre * (1.0 + erf(pre / np.sqrt(2.0)))
-            total += act @ head["w2"] + head["b2"]
+            total += act @ params["head.w2"] + params["head.b2"]
         oracle = total / states.shape[0]
         got = encode_definition(tiny_model, tokens)
         np.testing.assert_allclose(got, oracle, atol=1e-10)
@@ -351,16 +351,18 @@ class TestParameterDisjointness:
         ctx_before = sequence_states(model, CONTEXT, words)[0]
         def_before = sequence_states(model, DEFINITION, words)[0]
         with model.writable():
-            for array in model.definition_encoder.params.values():
-                array += 0.37
+            for name, array in model.params.items():
+                if name.startswith("defn."):
+                    array += 0.37
         np.testing.assert_array_equal(sequence_states(model, CONTEXT, words)[0], ctx_before)
         assert not np.allclose(sequence_states(model, DEFINITION, words)[0], def_before)
 
         model2 = tiny_model.copy()
         def_before2 = sequence_states(model2, DEFINITION, words)[0]
         with model2.writable():
-            for array in model2.context_encoder.params.values():
-                array += 0.37
+            for name, array in model2.params.items():
+                if name.startswith("ctx."):
+                    array += 0.37
         np.testing.assert_array_equal(sequence_states(model2, DEFINITION, words)[0], def_before2)
 
     def test_head_applies_only_to_definitions(self, tiny_model):
@@ -369,10 +371,22 @@ class TestParameterDisjointness:
         ctx_before = sequence_states(model, CONTEXT, words)[0]
         pooled_before = model.mention_vector(words, (0, 0)).values
         with model.writable():
-            for array in model.ffn_head.params.values():
-                array += 1.5
+            for name, array in model.params.items():
+                if name.startswith("head."):
+                    array += 1.5
         np.testing.assert_array_equal(sequence_states(model, CONTEXT, words)[0], ctx_before)
         np.testing.assert_array_equal(model.mention_vector(words, (0, 0)).values, pooled_before)
+
+    @pytest.mark.parametrize("name", ["defn.emb", "head.w2"])
+    def test_views_read_the_model_table(self, tiny_model, name):
+        # the encoders and the head keep no parameter dict of their own
+        model = tiny_model.copy()
+        ids, _ = model.tokenizer.encode_words(["trigger", "here"])
+        before, _ = model.encode_pooled(DEFINITION, [ids])
+        noise = np.random.default_rng(0).normal(0.0, 0.1, size=model.params[name].shape)
+        model.params[name] = model.params[name] + noise
+        after, _ = model.encode_pooled(DEFINITION, [ids])
+        assert not np.allclose(after, before)
 
 
 class TestCheckpoint:
@@ -428,7 +442,7 @@ class TestCheckpoint:
         model = tiny_model.copy()
         before = model.fingerprint()
         with model.writable():
-            model.context_encoder.params["emb"][0, 0] += 1e-9
+            model.params["ctx.emb"][0, 0] += 1e-9
         assert model.fingerprint() != before
 
 
@@ -441,10 +455,7 @@ PARAM_NAMES = ("ctx.emb", "ctx.b0.attn.wq", "ctx.out_ln.b", "defn.b1.ffn.w2", "h
 
 
 def param_array(model, name):
-    owner, key = name.split(".", 1)
-    table = {"ctx": model.context_encoder, "defn": model.definition_encoder,
-             "head": model.ffn_head}[owner].params
-    return table, key
+    return model.params, name
 
 
 class TestFingerprintCache:
@@ -652,7 +663,7 @@ class TestReadOnlyParameters:
     ], ids=["initialize", "copy", "load", "pretrain"])
     def test_read_only_after(self, tiny_model, tmp_path, make):
         model = make(tiny_model, tmp_path)
-        for name, array in model.parameters().items():
+        for name, array in model.params.items():
             assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
@@ -661,16 +672,16 @@ class TestReadOnlyParameters:
         model = tiny_model.copy()
         before = model.fingerprint()
         with model.writable():
-            assert all(a.flags.writeable for a in model.parameters().values())
-            model.ffn_head.params["b2"][0] += 1.0
-        assert not any(a.flags.writeable for a in model.parameters().values())
+            assert all(a.flags.writeable for a in model.params.values())
+            model.params["head.b2"][0] += 1.0
+        assert not any(a.flags.writeable for a in model.params.values())
         assert model.fingerprint() == reference_fingerprint(model) != before
 
     def test_frozen_again_after_an_error(self, tiny_model):
         model = tiny_model.copy()
         with pytest.raises(RuntimeError), model.writable():
             raise RuntimeError("inside the block")
-        assert not any(a.flags.writeable for a in model.parameters().values())
+        assert not any(a.flags.writeable for a in model.params.values())
 
     def test_loaded_checkpoint_trains(self, tiny_model, tmp_path):
         model = loaded(tiny_model, tmp_path)
@@ -780,8 +791,15 @@ class TestCheckpointValidation:
         lambda meta: meta.update(tokenizer=["pieces"]),
         lambda meta: meta.update(head_kind="three_layer"),
         lambda meta: meta.update(head_kind="identity"),
+        lambda meta: meta["config"].update(embedding_dim=16.0),
+        lambda meta: meta["config"].update(max_sequence_length=128.5),
+        lambda meta: meta["config"].update(ffn_head_hidden=8.0),
+        lambda meta: meta["config"].update(n_layers=True),
+        # one head draws the same shapes, so only the type check rejects it
+        lambda meta: meta["config"].update(n_heads=True),
     ], ids=["dim-type", "unknown-key", "heads", "no-pieces", "tokenizer-list", "head-kind",
-            "identity-head"])
+            "identity-head", "dim-float", "length-float", "head-hidden-float", "layers-bool",
+            "heads-bool"])
     def test_malformed_meta(self, saved, change, rewrite_archive):
         def edit(data):
             meta = json.loads(str(data["meta"]))

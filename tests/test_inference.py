@@ -171,12 +171,13 @@ class TestScoreMention:
         model = tiny_model.copy()
         index = build_definition_index(model, ontology)
         with model.writable():
-            model.context_encoder.params["emb"][0, 0] += 1.0
+            model.params["ctx.emb"][0, 0] += 1.0
         with pytest.raises(FingerprintError):
             score_mention(model, index, docs[0].sentences[0], (0, 0))
 
-    @pytest.mark.parametrize("side", ["context_encoder", "definition_encoder", "ffn_head"])
-    def test_write_inside_writable_is_stale(self, tiny_model, tiny_world, side):
+    @pytest.mark.parametrize("prefix", ["ctx.", "defn.", "head."],
+                             ids=["context_encoder", "definition_encoder", "ffn_head"])
+    def test_write_inside_writable_is_stale(self, tiny_model, tiny_world, prefix):
         """A write through the sanctioned path fails the freshness check,
         also once a call has kept the fingerprint."""
         _, ontology, docs, _ = tiny_world
@@ -185,7 +186,8 @@ class TestScoreMention:
         sentence = docs[0].sentences[0]
         score_mention(model, index, sentence, (0, 0))
         with model.writable():
-            next(iter(getattr(model, side).params.values())).flat[-1] += 1e-12
+            name = next(name for name in model.params if name.startswith(prefix))
+            model.params[name].flat[-1] += 1e-12
         with pytest.raises(FingerprintError):
             score_mention(model, index, sentence, (0, 0))
 
@@ -212,7 +214,7 @@ def replace_config(model):  # an equal config that serializes differently: 0.0 =
 
 def write_head_w2(model):
     with model.writable():
-        model.ffn_head.params["w2"][0, 0] += 1.0
+        model.params["head.w2"][0, 0] += 1.0
 
 
 class TestFreshnessAfterWarmCache:
@@ -448,7 +450,7 @@ class TestBatchedExtraction:
         _, ontology, docs, _ = tiny_world
         model = tiny_model.copy()
         with model.writable():
-            model.context_encoder.params["b0.attn.wq"][0, 0] = np.nan
+            model.params["ctx.b0.attn.wq"][0, 0] = np.nan
         index = build_definition_index(model, ontology)
         sentence = docs[0].sentences[docs[0].candidates[0][0]]
         with pytest.raises(NumericalError):

@@ -84,7 +84,7 @@ class TestSampleNegatives:
     DEFS = {"a": ("one",), "b": ("two",), "c": ("three",)}
 
     def test_forced_outcome(self):
-        out = sample_negatives(self.DEFS, "b", 2, rng=0)
+        out = sample_negatives(self.DEFS, "b", 2, rng=np.random.default_rng(0))
         assert sorted(did for did, _ in out) == ["a", "c"]
 
     def test_positive_never_sampled(self):
@@ -103,7 +103,7 @@ class TestSampleNegatives:
 
     def test_insufficient(self):
         with pytest.raises(ConfigurationError):
-            sample_negatives(self.DEFS, "a", 3, rng=0)
+            sample_negatives(self.DEFS, "a", 3, rng=np.random.default_rng(0))
 
 
 class TestRankingLoss:
@@ -275,7 +275,7 @@ class TestBatchedLoss:
             batch = prepare_batch(model, items)
             loss_before, grads, _ = loss_and_gradients(model, batch, margin=0.2)
             with model.writable():
-                Adam(model.parameters(), lr=lr).step(grads)
+                Adam(model.params, lr=lr).step(grads)
             loss_after, _ = batch_loss(model, prepare_batch(model, items), margin=0.2)
             if loss_after < loss_before:
                 passed = True
@@ -384,7 +384,7 @@ class TestPretrain:
         for _ in range(2):
             model, corpus = self.small_setup(seed=1)
             model, _ = pretrain(model, corpus, TrainConfig(seed=42, epochs=3))
-            params.append({k: v.copy() for k, v in model.parameters().items()})
+            params.append({k: v.copy() for k, v in model.params.items()})
         for name in params[0]:
             diff = np.abs(params[0][name] - params[1][name]).max()
             assert diff <= 1e-7, name
@@ -392,7 +392,7 @@ class TestPretrain:
     def test_non_finite_loss_aborts(self):
         model, corpus = self.small_setup()
         with model.writable():
-            model.context_encoder.params["emb"][:] = np.nan
+            model.params["ctx.emb"][:] = np.nan
         with pytest.raises(NumericalError, match="batch"):
             pretrain(model, corpus, TrainConfig(epochs=1))
 

@@ -182,14 +182,14 @@ class TestBuildWarmingSubset:
     def test_reads_the_model_in_place(self, tiny_model, tiny_world, monkeypatch):
         corpus, ontology, _, _ = tiny_world
         model = tiny_model.copy()
-        before = {name: array.tobytes() for name, array in model.parameters().items()}
+        before = {name: array.tobytes() for name, array in model.params.items()}
 
         def fail(self):
             raise AssertionError("retrieval copied the model")
 
         monkeypatch.setattr(warming.DualEncoderModel, "copy", fail)
         build_warming_subset(model, ontology, corpus, RetrievalConfig())
-        assert {name: array.tobytes() for name, array in model.parameters().items()} == before
+        assert {name: array.tobytes() for name, array in model.params.items()} == before
 
 
 class TestMixedSampler:
@@ -251,8 +251,8 @@ class TestWarm:
         model_a, _ = pretrain(model_a, corpus, train_config)
         model_b = DualEncoderModel.initialize(config, corpus, seed=5)
         model_b, _ = warm(model_b, corpus, corpus.definitions, warm_config)
-        for name, array in model_a.parameters().items():
-            np.testing.assert_array_equal(array, model_b.parameters()[name])
+        for name, array in model_a.params.items():
+            np.testing.assert_array_equal(array, model_b.params[name])
 
 
 class TestWarmWithGold:
