@@ -254,6 +254,7 @@ def _save_trained(run_dir: Path, model: DualEncoderModel, report) -> Path:
     _write_json(run_dir / "train_report.json", {
         "epoch_losses": list(report.epoch_losses),
         "epoch_seconds": list(report.epoch_seconds),
+        "epoch_active_shares": list(report.epoch_active_shares),
         "checkpoint": str(checkpoint),
     })
     return checkpoint

@@ -36,7 +36,7 @@ import json
 import zipfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -67,9 +67,12 @@ _PREFIX = {CONTEXT: "ctx.", DEFINITION: "defn."}
 # 0.29 / 0.31 s at 16 / 32 / 64 / 128 (0.73 s one sentence at a time), but two
 # pretraining epochs took 2.0 s at 16 and 1.8 s at 64, when a training step
 # still encoded all 48 definition slots.  A default step (16 instances, each
-# with its positive and 2 negatives) now encodes each distinct definition
-# once: at most 48 sequences, about 31 on the default corpus, so 64 keeps a
-# step in one forward per side.  Since the last block runs only at pooled
+# with its positive and 2 negatives) now scores each distinct definition
+# once, without caches: at most 48 sequences, about 31 on the default corpus,
+# so 64 keeps the scoring in one forward per side.  It then re-encodes with
+# caches only the live rows (instances with an active hinge, their positives
+# and active negatives), a second forward per side over a subset, or none
+# when no hinge is active.  Since the last block runs only at pooled
 # positions, a context batch's last block costs what its mentions' sub-tokens
 # cost, whatever the batch size; the earlier blocks still run every padded
 # position.
@@ -464,7 +467,8 @@ class DualEncoderModel:
 
     @classmethod
     def load(cls, path) -> "DualEncoderModel":
-        """Read a checkpoint written by :meth:`save`.  Its parameters must
+        """Read a checkpoint written by :meth:`save`.  Its meta config must
+        hold every :class:`EncoderConfig` field.  Its parameters must
         have exactly the names, shapes and dtype that :meth:`initialize`
         draws for its config and tokenizer, and finite values."""
         meta, arrays = load_archive(path, "checkpoint")
@@ -478,6 +482,11 @@ class DualEncoderModel:
             raise ValidationError(f"{path} is not a model checkpoint: its meta has no config "
                                   f"or tokenizer")
         check_json_fields(EncoderConfig, meta["config"], f"checkpoint {path} config")
+        # save writes every field, so a missing one cannot be filled from
+        # a default that may differ from the saved model's
+        missing = sorted(f.name for f in fields(EncoderConfig) if f.name not in meta["config"])
+        if missing:
+            raise ValidationError(f"checkpoint {path} config lacks key(s) {missing}")
         try:
             config = EncoderConfig(**meta["config"])
             tokenizer = tokenizer_from_dict(meta["tokenizer"])

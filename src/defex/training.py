@@ -7,10 +7,14 @@ are computed analytically through cosine, pooling, the definition head, and
 both encoders; the tests compare them with central finite differences
 (``check_gradients`` in ``tests/helpers.py``).
 
-A step encodes each distinct definition token sequence once, however many
-instances use it as positive or negative and under whichever ids; each
-slot's gradient is summed into its sequence's row before the definition
-backward.
+A step scores the batch without activation caches, encoding each distinct
+definition token sequence once, however many instances use it as positive
+or negative and under whichever ids.  An instance whose hinges are all
+inactive has exactly zero gradient, so the step then re-encodes, with
+caches, only the live rows: the contexts of instances with an active hinge
+and the distinct definitions that are such an instance's positive or an
+active negative.  Only those are backpropagated; a slot's gradient is summed
+into its sequence's row in the definition backward.
 """
 
 from __future__ import annotations
@@ -77,8 +81,12 @@ class WarmConfig(TrainConfig):
 
 @dataclass(frozen=True)
 class TrainReport:
+    """Per epoch: the mean loss, the wall time, and the share of instances
+    with an active hinge (the ones whose rows the steps backpropagated)."""
+
     epoch_losses: tuple[float, ...]
     epoch_seconds: tuple[float, ...]
+    epoch_active_shares: tuple[float, ...]
 
     def __post_init__(self):
         losses = np.asarray(self.epoch_losses, dtype=np.float64)
@@ -91,23 +99,24 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
-def sample_negatives(definitions: Mapping[str, Tokens], positive_id: str, n: int,
-                     rng: np.random.Generator) -> list[tuple[str, Tokens]]:
-    """Draw ``n`` distinct definitions uniformly without replacement,
-    excluding the positive."""
-    ids = sorted(k for k in definitions if k != positive_id)
-    if len(ids) < n:
-        raise ConfigurationError(
-            f"need {n} negative definitions but only {len(ids)} are available "
-            f"besides {positive_id!r}"
-        )
-    chosen = rng.choice(len(ids), size=n, replace=False)
-    return [(ids[i], definitions[ids[i]]) for i in chosen]
-
-
 def uniform_negative_sampler(definitions: Mapping[str, Tokens], n: int) -> NegativeSampler:
+    """Per call, ``n`` distinct definitions drawn uniformly without
+    replacement, excluding the positive: one ``rng.choice`` over the
+    inventory's sorted ids less the positive."""
+    ids = sorted(definitions)
+    index = {did: i for i, did in enumerate(ids)}
+
     def sampler(positive_id: str, rng: np.random.Generator):
-        return sample_negatives(definitions, positive_id, n, rng)
+        skipped = index.get(positive_id, len(ids))
+        available = len(ids) - (skipped < len(ids))
+        if available < n:
+            raise ConfigurationError(
+                f"need {n} negative definitions but only {available} are available "
+                f"besides {positive_id!r}"
+            )
+        chosen = rng.choice(available, size=n, replace=False).tolist()
+        picks = [ids[i + (i >= skipped)] for i in chosen]
+        return [(did, definitions[did]) for did in picks]
 
     return sampler
 
@@ -152,22 +161,43 @@ def prepare_batch(model: DualEncoderModel, items: Sequence[BatchItem]) -> Prepar
 
 
 def _batch_vectors(model: DualEncoderModel, batch: PreparedBatch):
-    """Anchors (B, dim) and definition vectors (B, 1 + negatives, dim) for a
-    prepared batch, plus the two sides' backward functions.  The definition
-    backward takes one gradient row per slot of ``batch.def_seqs``."""
+    """Score a prepared batch without activation caches.
+
+    Returns anchors (B, dim), definition vectors (B, 1 + negatives, dim) and
+    ``backward(live_slots, d_anchors, d_slots)``.  ``live_slots`` (B, 1 +
+    negatives) marks the slots whose gradient may be non-zero; an instance
+    is live when its positive slot is.  ``backward`` re-encodes with caches
+    only the live instances' contexts and the distinct definitions of live
+    slots, and maps the gradients of the live anchors (one row per live
+    instance) and of the live slots (row-major order) to gradients keyed
+    like ``model.params``."""
     ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
-    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=True)
+    anchors, _ = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges)
     row_of: dict[tuple[int, ...], int] = {}
     slot_rows = np.array([row_of.setdefault(tuple(seq), len(row_of)) for seq in batch.def_seqs])
-    distinct, back_distinct = model.encode_pooled(DEFINITION, list(row_of), keep_caches=True)
-    defvecs = distinct[slot_rows].reshape(batch.size, 1 + batch.n_negatives, -1)
+    distinct = list(row_of)
+    vectors, _ = model.encode_pooled(DEFINITION, distinct)
+    defvecs = vectors[slot_rows].reshape(batch.size, 1 + batch.n_negatives, -1)
 
-    def back_d(d_slots: np.ndarray) -> dict[str, np.ndarray]:
-        d_distinct = np.zeros_like(distinct)
-        np.add.at(d_distinct, slot_rows, d_slots)
-        return back_distinct(d_distinct)
+    def backward(live_slots: np.ndarray, d_anchors: np.ndarray,
+                 d_slots: np.ndarray) -> dict[str, np.ndarray]:
+        # encode_pooled encodes no row that lacks a range
+        live_ranges = [ranges[i] for i in np.flatnonzero(live_slots[:, 0])]
+        _, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, live_ranges, keep_caches=True)
+        # each live slot's gradient is summed into its sequence's row, in
+        # slot order, before the definition backward
+        rows_of_slots = slot_rows[live_slots.ravel()]
+        d_distinct = np.zeros((len(distinct), d_slots.shape[1]))
+        np.add.at(d_distinct, rows_of_slots, d_slots)
+        live_rows = np.unique(rows_of_slots)
+        _, back_d = model.encode_pooled(DEFINITION, distinct,
+                                        [(row, 0, len(distinct[row]) - 1) for row in live_rows],
+                                        keep_caches=True)
+        grads = back_c(d_anchors)
+        grads.update(back_d(d_distinct[live_rows]))
+        return grads
 
-    return anchors, defvecs, (back_c, back_d)
+    return anchors, defvecs, backward
 
 
 def _hinge_terms(anchors, defvecs, margin):
@@ -196,10 +226,16 @@ def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: fl
     """Batch loss plus analytic gradients for every trainable parameter.
 
     Returns ``(loss, grads, diagnostics)`` where ``grads`` is keyed like
-    ``model.params``.
+    ``model.params``.  An instance whose hinges are all inactive contributes
+    exactly zero gradient, so only the instances with an active hinge, their
+    positives and their active negatives are re-encoded and backpropagated;
+    with none, every gradient is zero and nothing is re-encoded.
     """
-    anchors, defvecs, (back_c, back_d) = _batch_vectors(model, batch)
+    anchors, defvecs, backward = _batch_vectors(model, batch)
     loss, active, geometry, diag = _hinge_terms(anchors, defvecs, margin)
+    live = active.any(axis=1)
+    if not live.any():
+        return loss, {name: np.zeros_like(p) for name, p in model.params.items()}, diag
     positives, negatives, norm_a, norm_p, norm_n, cos_pos, cos_neg = geometry
     b, k = cos_neg.shape
     coeff = 1.0 / (b * k)
@@ -223,9 +259,8 @@ def loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: fl
     )
 
     d_defvecs = np.concatenate([dpositives[:, None, :], dnegatives], axis=1)
-    grads = back_c(danchors)
-    grads.update(back_d(d_defvecs.reshape(-1, d_defvecs.shape[-1])))
-    return loss, grads, diag
+    live_slots = np.concatenate([live[:, None], active], axis=1)
+    return loss, backward(live_slots, danchors[live], d_defvecs[live_slots]), diag
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +283,12 @@ def run_training_loop(model: DualEncoderModel, instances: Sequence[AlignmentInst
         raise ConfigurationError("no training instances: nothing to train on")
     adam = Adam(model.params, lr=config.learning_rate)
     rng = _loop_rng(config.seed)
-    losses, seconds = [], []
+    losses, seconds, active_shares = [], [], []
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = rng.permutation(len(instances))
         epoch_loss = 0.0
+        epoch_active = 0
         for batch_no in range(0, len(order), config.batch_size):
             batch_indices = order[batch_no : batch_no + config.batch_size]
             items = []
@@ -260,7 +296,7 @@ def run_training_loop(model: DualEncoderModel, instances: Sequence[AlignmentInst
                 inst = instances[int(i)]
                 items.append((inst, sampler(inst.definition_id, rng)))
             batch = prepare_batch(model, items)
-            loss, grads, _ = loss_and_gradients(model, batch, config.margin)
+            loss, grads, diag = loss_and_gradients(model, batch, config.margin)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch}, batch starting at {batch_no}"
@@ -268,9 +304,11 @@ def run_training_loop(model: DualEncoderModel, instances: Sequence[AlignmentInst
             with model.writable():
                 adam.step(grads)
             epoch_loss += loss * len(batch_indices)
+            epoch_active += int(np.count_nonzero(diag["active"].any(axis=1)))
         losses.append(epoch_loss / len(instances))
         seconds.append(time.perf_counter() - started)
-    return TrainReport(tuple(losses), tuple(seconds))
+        active_shares.append(epoch_active / len(instances))
+    return TrainReport(tuple(losses), tuple(seconds), tuple(active_shares))
 
 
 def pretrain(model: DualEncoderModel, corpus: AlignmentCorpus,

@@ -131,27 +131,44 @@ def mixed_negative_sampler(full_definitions: Mapping[str, Tokens],
     missing = [did for did in strong_sorted if did not in full_definitions]
     if missing:
         raise ConfigurationError(f"strong ids missing from the inventory: {missing[:5]}")
+    strong_index = {did: i for i, did in enumerate(strong_sorted)}
+    full_index = {did: i for i, did in enumerate(full_sorted)}
 
     def sampler(positive_id: str, rng: np.random.Generator):
-        chosen: set[str] = set()
+        excluded = [positive_id]
         out: list[tuple[str, Tokens]] = []
         for _ in range(n):
             use_strong = bool(rng.random() < strong_ratio)
-            pool = ()
+            pick = None
             if use_strong:
-                pool = [d for d in strong_sorted if d != positive_id and d not in chosen]
-            if not pool:
-                pool = [d for d in full_sorted if d != positive_id and d not in chosen]
-            if not pool:
+                pick = _draw_skipping(strong_sorted, strong_index, excluded, rng)
+            if pick is None:
+                pick = _draw_skipping(full_sorted, full_index, excluded, rng)
+            if pick is None:
                 raise ConfigurationError(
                     f"inventory exhausted while sampling {n} negatives for {positive_id!r}"
                 )
-            pick = pool[int(rng.integers(0, len(pool)))]
-            chosen.add(pick)
+            excluded.append(pick)
             out.append((pick, full_definitions[pick]))
         return out
 
     return sampler
+
+
+def _draw_skipping(ids: Sequence[str], index: Mapping[str, int], excluded: Sequence[str],
+                   rng: np.random.Generator) -> str | None:
+    """A uniform draw from sorted ``ids`` less ``excluded``, by one
+    ``rng.integers`` over the remaining count; None when nothing remains.
+    Equals indexing the filtered list, without building it."""
+    skipped = sorted(index[did] for did in excluded if did in index)
+    if len(skipped) == len(ids):
+        return None
+    k = int(rng.integers(0, len(ids) - len(skipped)))
+    for position in skipped:
+        if position > k:
+            break
+        k += 1
+    return ids[k]
 
 
 def warm(model: DualEncoderModel, warming_corpus: AlignmentCorpus,

@@ -1,13 +1,14 @@
 """Reference code the tests check the package against: the scalar ranking
-loss, a forward-only batch loss, a finite-difference gradient check, the
-one-definition encoder, pooling over full encoder states, the from-scratch
+loss, a forward-only batch loss, the dense batch gradient, a
+finite-difference gradient check, the one-definition encoder, pooling over
+full encoder states, the filtered-list negative samplers, the from-scratch
 model fingerprint and small record helpers.  None of it runs in the package
 itself."""
 
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +39,40 @@ def batch_loss(model: DualEncoderModel, batch: PreparedBatch, margin: float):
     anchors, defvecs, _ = training._batch_vectors(model, batch)
     loss, _, _, diag = training._hinge_terms(anchors, defvecs, margin)
     return loss, diag
+
+
+def dense_loss_and_gradients(model: DualEncoderModel, batch: PreparedBatch, margin: float):
+    """``loss_and_gradients`` as it was before it skipped dead instances:
+    every context row and every distinct definition is encoded once with
+    caches, and every slot is backpropagated, an inactive one with a zero
+    gradient.  Returns ``(loss, grads)``."""
+    ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
+    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=True)
+    row_of = {}
+    slot_rows = np.array([row_of.setdefault(tuple(seq), len(row_of)) for seq in batch.def_seqs])
+    distinct, back_distinct = model.encode_pooled(DEFINITION, list(row_of), keep_caches=True)
+    defvecs = distinct[slot_rows].reshape(batch.size, 1 + batch.n_negatives, -1)
+    norm_a = np.linalg.norm(anchors, axis=1)[:, None]
+    unit_a = anchors / norm_a
+    norm_d = np.linalg.norm(defvecs, axis=2)[:, :, None]
+    unit_d = defvecs / norm_d
+    cos = np.einsum("bd,bkd->bk", unit_a, unit_d)
+    gaps = cos[:, :1] - cos[:, 1:]
+    active = margin - gaps > 0.0
+    b, k = active.shape
+    loss = float(np.maximum(margin - gaps, 0.0).sum() / (b * k))
+    # d loss / d cos per slot: the positive loses one share per active
+    # hinge, each active negative gains one
+    d_cos = np.concatenate([-active.sum(axis=1, keepdims=True), active], axis=1) / (b * k)
+    # d cos(u, v) / du = (v/|v| - cos u/|u|) / |u|, and symmetrically in v
+    d_anchors = np.einsum("bk,bkd->bd", d_cos, unit_d - cos[:, :, None] * unit_a[:, None, :])
+    d_anchors /= norm_a
+    d_defvecs = d_cos[:, :, None] * (unit_a[:, None, :] - cos[:, :, None] * unit_d) / norm_d
+    d_distinct = np.zeros_like(distinct)
+    np.add.at(d_distinct, slot_rows, d_defvecs.reshape(-1, d_defvecs.shape[-1]))
+    grads = back_c(d_anchors)
+    grads.update(back_distinct(d_distinct))
+    return loss, grads
 
 
 def sample_kink_free_batch(model: DualEncoderModel, corpus: AlignmentCorpus,
@@ -123,6 +158,47 @@ def pool_full_states(model: DualEncoderModel, side: str, id_sequences, ranges):
         return grads
 
     return vectors, backward
+
+
+def sample_negatives(definitions: Mapping[str, Tokens], positive_id: str, n: int,
+                     rng: np.random.Generator) -> list[tuple[str, Tokens]]:
+    """The uniform sampler's draw written the long way: the inventory's ids
+    less the positive, sorted on every call, then one ``rng.choice``."""
+    ids = sorted(k for k in definitions if k != positive_id)
+    if len(ids) < n:
+        raise ConfigurationError(
+            f"need {n} negative definitions but only {len(ids)} are available "
+            f"besides {positive_id!r}"
+        )
+    chosen = rng.choice(len(ids), size=n, replace=False)
+    return [(ids[i], definitions[ids[i]]) for i in chosen]
+
+
+def mixed_sample_negatives(full_definitions: Mapping[str, Tokens], strong_ids, positive_id: str,
+                           n: int, strong_ratio: float,
+                           rng: np.random.Generator) -> list[tuple[str, Tokens]]:
+    """The mixed sampler's draw written the long way: per negative, the
+    strong or full pool is built as a filtered sorted list and indexed by
+    one ``rng.integers``."""
+    strong_sorted = sorted(strong_ids)
+    full_sorted = sorted(full_definitions)
+    chosen: set[str] = set()
+    out = []
+    for _ in range(n):
+        use_strong = bool(rng.random() < strong_ratio)
+        pool = ()
+        if use_strong:
+            pool = [d for d in strong_sorted if d != positive_id and d not in chosen]
+        if not pool:
+            pool = [d for d in full_sorted if d != positive_id and d not in chosen]
+        if not pool:
+            raise ConfigurationError(
+                f"inventory exhausted while sampling {n} negatives for {positive_id!r}"
+            )
+        pick = pool[int(rng.integers(0, len(pool)))]
+        chosen.add(pick)
+        out.append((pick, full_definitions[pick]))
+    return out
 
 
 def mention_tokens(instance: AlignmentInstance) -> Tokens:

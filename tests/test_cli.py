@@ -101,6 +101,21 @@ class TestPretrain:
             fingerprints.append(manifest["manifest"]["outputs"]["checkpoint_fingerprint"])
         assert fingerprints[0] == fingerprints[1]
 
+    def test_train_report_records_active_shares(self, tmp_path):
+        config = write_config(tmp_path)
+        synth_dir = synth(tmp_path, config)
+        config = write_config(tmp_path, paths={
+            "output_dir": str(tmp_path / "runs"),
+            "corpus": str(synth_dir / "alignments.jsonl"),
+        })
+        assert main(["--config", str(config), "--set", "train.epochs=2", "pretrain"]) == 0
+        run_dir = only_run_dir(tmp_path, "pretrain")
+        shares = json.loads((run_dir / "train_report.json").read_text())["epoch_active_shares"]
+        assert len(shares) == 2 and all(0.0 <= share <= 1.0 for share in shares)
+        # a run's dynamics, like its timings, stay out of the hashed outputs
+        outputs = read_manifest(run_dir)["manifest"]["outputs"]
+        assert sorted(outputs) == ["checkpoint_fingerprint", "loss_curve"]
+
     def test_missing_corpus(self, tmp_path, capsys):
         config = write_config(tmp_path, paths={
             "output_dir": str(tmp_path / "runs"),

@@ -797,9 +797,17 @@ class TestCheckpointValidation:
         lambda meta: meta["config"].update(n_layers=True),
         # one head draws the same shapes, so only the type check rejects it
         lambda meta: meta["config"].update(n_heads=True),
+        # a missing key whose default equals the saved value, or draws the
+        # same shapes, would load silently
+        lambda meta: meta["config"].pop("position_scale"),
+        lambda meta: meta["config"].pop("init_std"),
+        lambda meta: meta["config"].pop("residual_init_scale"),
+        lambda meta: meta["config"].pop("max_sequence_length"),
+        lambda meta: meta["config"].pop("tokenizer"),
     ], ids=["dim-type", "unknown-key", "heads", "no-pieces", "tokenizer-list", "head-kind",
             "identity-head", "dim-float", "length-float", "head-hidden-float", "layers-bool",
-            "heads-bool"])
+            "heads-bool", "missing-position-scale", "missing-init-std",
+            "missing-residual-scale", "missing-length", "missing-tokenizer-scheme"])
     def test_malformed_meta(self, saved, change, rewrite_archive):
         def edit(data):
             meta = json.loads(str(data["meta"]))
@@ -808,6 +816,16 @@ class TestCheckpointValidation:
 
         rewrite_archive(saved, edit)
         with pytest.raises(ValidationError):
+            DualEncoderModel.load(saved)
+
+    def test_missing_config_key_is_named(self, saved, rewrite_archive):
+        def edit(data):
+            meta = json.loads(str(data["meta"]))
+            del meta["config"]["position_scale"], meta["config"]["init_std"]
+            data["meta"] = np.array(json.dumps(meta))
+
+        rewrite_archive(saved, edit)
+        with pytest.raises(ValidationError, match=r"lacks key\(s\) \['init_std', 'position_scale'\]"):
             DualEncoderModel.load(saved)
 
     @settings(max_examples=25, deadline=None)

@@ -16,16 +16,17 @@ from defex.training import (
     loss_and_gradients,
     prepare_batch,
     pretrain,
-    sample_negatives,
     uniform_negative_sampler,
 )
 
 from helpers import (
     batch_loss,
     check_gradients,
+    dense_loss_and_gradients,
     encode_definition,
     ranking_loss,
     sample_kink_free_batch,
+    sample_negatives,
 )
 
 
@@ -84,26 +85,41 @@ class TestSampleNegatives:
     DEFS = {"a": ("one",), "b": ("two",), "c": ("three",)}
 
     def test_forced_outcome(self):
-        out = sample_negatives(self.DEFS, "b", 2, rng=np.random.default_rng(0))
+        out = uniform_negative_sampler(self.DEFS, 2)("b", np.random.default_rng(0))
         assert sorted(did for did, _ in out) == ["a", "c"]
 
     def test_positive_never_sampled(self):
         defs = {f"d{i:04d}": (f"w{i}",) for i in range(1000)}
+        sampler = uniform_negative_sampler(defs, 2)
         rng = np.random.default_rng(1)
         for _ in range(10_000):
-            out = sample_negatives(defs, "d0500", 2, rng)
+            out = sampler("d0500", rng)
             assert all(did != "d0500" for did, _ in out)
             assert len({did for did, _ in out}) == 2
 
     def test_deterministic(self):
         defs = {f"d{i}": (f"w{i}",) for i in range(50)}
-        seq_one = [sample_negatives(defs, "d0", 3, np.random.default_rng(9)) for _ in range(1)]
-        seq_two = [sample_negatives(defs, "d0", 3, np.random.default_rng(9)) for _ in range(1)]
+        sampler = uniform_negative_sampler(defs, 3)
+        seq_one = [sampler("d0", np.random.default_rng(9)) for _ in range(1)]
+        seq_two = [sampler("d0", np.random.default_rng(9)) for _ in range(1)]
         assert seq_one == seq_two
 
     def test_insufficient(self):
         with pytest.raises(ConfigurationError):
-            sample_negatives(self.DEFS, "a", 3, rng=np.random.default_rng(0))
+            uniform_negative_sampler(self.DEFS, 3)("a", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_sorting_reference(self, n):
+        """The same picks and the same generator state as sorting the ids
+        less the positive on every draw, for positives anywhere in the
+        sorted order and one outside the inventory."""
+        defs = {f"d{i:02d}": (f"w{i}",) for i in (7, 3, 11, 0, 5, 9, 1)}
+        sampler = uniform_negative_sampler(defs, n)
+        for seed in range(40):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for positive in [*sorted(defs), "d99", "d04"]:
+                assert sampler(positive, rng) == sample_negatives(defs, positive, n, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRankingLoss:
@@ -236,7 +252,9 @@ class TestBatchedLoss:
         assert check_gradients(model, items, config.margin, n_coordinates=250, seed=3) < 1e-4
         assert any(out < full for full, out in widths)
 
-    def test_inactive_hinge_zero_gradient(self, tiny_world, tiny_model):
+    def test_inactive_hinge_zero_gradient(self, tiny_world, tiny_model, monkeypatch):
+        """With no active hinge every parameter's gradient is zero, and
+        nothing is re-encoded with caches."""
         model = tiny_model.copy()
         batch = None
         for seed in range(200):
@@ -250,10 +268,13 @@ class TestBatchedLoss:
         # margin below every observed gap: all hinges inactive
         _, diag = batch_loss(model, batch, margin=0.2)
         tiny_margin = float(diag["gaps"].min()) / 2.0
+        encoded = record_encodes(monkeypatch, model)
         loss, grads, _ = loss_and_gradients(model, batch, margin=tiny_margin)
         assert loss == 0.0
-        for g in grads.values():
-            assert np.all(g == 0.0)
+        assert grads.keys() == model.params.keys()
+        for name, g in grads.items():
+            assert g.shape == model.params[name].shape and np.all(g == 0.0), name
+        assert encoded[CONTEXT, True] == encoded[DEFINITION, True] == []
 
     def test_one_step_decreases_loss(self, tiny_world, tiny_model):
         corpus, _, _, _ = tiny_world
@@ -284,11 +305,49 @@ class TestBatchedLoss:
 
 def pool_every_slot(model, batch):
     """Reference for ``training._batch_vectors``: every definition slot of
-    the batch pooled as its own sequence through ``encode_pooled``."""
+    the batch pooled as its own sequence through ``encode_pooled``, in the
+    scoring forward and in the backward's re-encode of the live rows."""
     ranges = [(i, lo, hi) for i, (lo, hi) in enumerate(batch.span_ranges)]
-    anchors, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges, keep_caches=True)
-    defvecs, back_d = model.encode_pooled(DEFINITION, batch.def_seqs, keep_caches=True)
-    return anchors, defvecs.reshape(batch.size, 1 + batch.n_negatives, -1), (back_c, back_d)
+    anchors, _ = model.encode_pooled(CONTEXT, batch.ctx_seqs, ranges)
+    defvecs, _ = model.encode_pooled(DEFINITION, batch.def_seqs)
+
+    def backward(live_slots, d_anchors, d_slots):
+        live = np.flatnonzero(live_slots[:, 0])
+        _, back_c = model.encode_pooled(CONTEXT, batch.ctx_seqs, [ranges[i] for i in live],
+                                        keep_caches=True)
+        slots = np.flatnonzero(live_slots.ravel())
+        _, back_d = model.encode_pooled(DEFINITION, [batch.def_seqs[i] for i in slots],
+                                        keep_caches=True)
+        grads = back_c(d_anchors)
+        grads.update(back_d(d_slots))
+        return grads
+
+    return anchors, defvecs.reshape(batch.size, 1 + batch.n_negatives, -1), backward
+
+
+def record_encodes(monkeypatch, model):
+    """Patch ``model.encode_batch`` to record, per side, the sequences it
+    encodes with and without caches."""
+    encoded = {(side, keep): [] for side in (CONTEXT, DEFINITION) for keep in (False, True)}
+    original = model.encode_batch
+
+    def recording(side, id_sequences, counter=None, keep_caches=False, positions=None):
+        encoded[side, keep_caches].extend(tuple(seq) for seq in id_sequences)
+        return original(side, id_sequences, counter, keep_caches, positions)
+
+    monkeypatch.setattr(model, "encode_batch", recording)
+    return encoded
+
+
+def live_sequences(batch, active):
+    """The context sequences of the instances with an active hinge, and the
+    distinct definition sequences that are such an instance's positive or an
+    active negative."""
+    live = active.any(axis=1)
+    contexts = [tuple(batch.ctx_seqs[i]) for i in np.flatnonzero(live)]
+    slots = np.concatenate([live[:, None], active], axis=1).ravel()
+    definitions = {tuple(batch.def_seqs[i]) for i in np.flatnonzero(slots)}
+    return contexts, definitions
 
 
 class TestDistinctDefinitions:
@@ -317,9 +376,18 @@ class TestDistinctDefinitions:
         batch = prepare_batch(tiny_model, self.repeated_items(tiny_world))
         loss, grads, diag = loss_and_gradients(tiny_model, batch, margin=0.2)
         forward_loss, _ = batch_loss(tiny_model, batch, margin=0.2)
-        monkeypatch.setattr(training, "_batch_vectors", pool_every_slot)
+        calls = []
+
+        def counted(model, batch):
+            calls.append(batch)
+            return pool_every_slot(model, batch)
+
+        monkeypatch.setattr(training, "_batch_vectors", counted)
         ref_loss, ref_grads, ref_diag = loss_and_gradients(tiny_model, batch, margin=0.2)
         ref_forward_loss, _ = batch_loss(tiny_model, batch, margin=0.2)
+        # the reference replaced the scoring forward and the backward of
+        # both calls, so this is no self-comparison
+        assert calls == [batch, batch]
         assert loss == ref_loss and forward_loss == ref_forward_loss
         for key in ("cos_pos", "cos_neg"):
             assert diag[key].tobytes() == ref_diag[key].tobytes()
@@ -332,24 +400,23 @@ class TestDistinctDefinitions:
 
     def test_definition_side_encodes_each_distinct_sequence_once(self, tiny_world, tiny_model,
                                                                  monkeypatch):
+        """Scoring encodes each distinct definition once without caches; the
+        backward re-encodes each live one once with caches."""
         model = tiny_model.copy()
         batch = prepare_batch(model, self.repeated_items(tiny_world))
         assert len(batch.def_seqs) == batch.size * (1 + batch.n_negatives) == 15
         distinct = {tuple(seq) for seq in batch.def_seqs}
         assert len(distinct) == 3
-        encoded = {CONTEXT: [], DEFINITION: []}
-        original = model.encode_batch
-
-        def recording(side, id_sequences, *args, **kwargs):
-            encoded[side].extend(tuple(seq) for seq in id_sequences)
-            return original(side, id_sequences, *args, **kwargs)
-
-        monkeypatch.setattr(model, "encode_batch", recording)
-        loss_and_gradients(model, batch, margin=0.2)
+        encoded = record_encodes(monkeypatch, model)
+        _, _, diag = loss_and_gradients(model, batch, margin=0.2)
         batch_loss(model, batch, margin=0.2)
-        assert len(encoded[DEFINITION]) == 2 * len(distinct)
-        assert set(encoded[DEFINITION]) == distinct
-        assert len(encoded[CONTEXT]) == 2 * batch.size
+        live_contexts, live_definitions = live_sequences(batch, diag["active"])
+        assert live_definitions
+        assert len(encoded[DEFINITION, False]) == 2 * len(distinct)
+        assert set(encoded[DEFINITION, False]) == distinct
+        assert sorted(encoded[DEFINITION, True]) == sorted(live_definitions)
+        assert len(encoded[CONTEXT, False]) == 2 * batch.size
+        assert encoded[CONTEXT, True] == live_contexts
 
     def test_gradient_check_on_repeated_definitions(self, tiny_world, tiny_model):
         model = tiny_model.copy()
@@ -358,6 +425,66 @@ class TestDistinctDefinitions:
         # every hinge active and far from its kink, so finite differences hold
         margin = float(diag["gaps"].max()) + 0.1
         assert check_gradients(model, items, margin, n_coordinates=250, seed=5) < 1e-4
+
+
+def split_margin(model, batch):
+    """A margin that leaves some instances of ``batch`` with an active hinge
+    and others with none: the midpoint between two neighbouring per-instance
+    smallest gaps."""
+    _, diag = batch_loss(model, batch, margin=0.2)
+    smallest = np.sort(diag["gaps"].min(axis=1))
+    middle = len(smallest) // 2
+    return float(smallest[middle - 1] + smallest[middle]) / 2.0
+
+
+class TestLiveRows:
+    """A step backpropagates only the instances with an active hinge; the
+    result must match the dense step that backpropagates every slot."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_world, tiny_model):
+        corpus, _, _, _ = tiny_world
+        model, _ = pretrain(tiny_model.copy(), corpus, TrainConfig(epochs=3, seed=2))
+        return model
+
+    @staticmethod
+    def items(tiny_world, seed, n=8):
+        corpus, _, _, _ = tiny_world
+        rng = np.random.default_rng(seed)
+        sampler = uniform_negative_sampler(corpus.definitions, 2)
+        idx = rng.choice(len(corpus.instances), size=n, replace=False)
+        return [(corpus.instances[int(i)], sampler(corpus.instances[int(i)].definition_id, rng))
+                for i in idx]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("split", [False, True], ids=["margin-0.2", "half-live"])
+    def test_gradients_match_dense_reference(self, tiny_world, trained, seed, split):
+        batch = prepare_batch(trained, self.items(tiny_world, seed))
+        margin = split_margin(trained, batch) if split else 0.2
+        loss, grads, diag = loss_and_gradients(trained, batch, margin)
+        live = diag["active"].any(axis=1)
+        assert live.any() and not live.all()
+        assert margin > 0.0
+        ref_loss, ref_grads = dense_loss_and_gradients(trained, batch, margin)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert grads.keys() == ref_grads.keys() == trained.params.keys()
+        floor = 1e-12 * max(float(np.abs(g).max()) for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-12, atol=floor, err_msg=name)
+
+    def test_only_live_rows_are_reencoded(self, tiny_world, trained, monkeypatch):
+        model = trained.copy()
+        batch = prepare_batch(model, self.items(tiny_world, 3))
+        margin = split_margin(model, batch)
+        encoded = record_encodes(monkeypatch, model)
+        _, _, diag = loss_and_gradients(model, batch, margin)
+        live_contexts, live_definitions = live_sequences(batch, diag["active"])
+        assert 0 < len(live_contexts) < batch.size
+        assert encoded[CONTEXT, False] == [tuple(seq) for seq in batch.ctx_seqs]
+        assert sorted(encoded[CONTEXT, True]) == sorted(live_contexts)
+        assert set(encoded[DEFINITION, False]) == {tuple(seq) for seq in batch.def_seqs}
+        assert sorted(encoded[DEFINITION, True]) == sorted(live_definitions)
+        assert len(live_definitions) < len(encoded[DEFINITION, False])
 
 
 class TestPretrain:
@@ -396,8 +523,15 @@ class TestPretrain:
         with pytest.raises(NumericalError, match="batch"):
             pretrain(model, corpus, TrainConfig(epochs=1))
 
+    def test_active_share_falls(self, tiny_world, tiny_model):
+        corpus, _, _, _ = tiny_world
+        _, report = pretrain(tiny_model.copy(), corpus, TrainConfig(epochs=6, seed=0))
+        shares = report.epoch_active_shares
+        assert len(shares) == 6 and all(0.0 <= s <= 1.0 for s in shares)
+        assert shares[-1] < shares[0]
+
     def test_report_validation(self):
         with pytest.raises(NumericalError):
-            TrainReport((0.5, float("nan")), (0.1, 0.1))
+            TrainReport((0.5, float("nan")), (0.1, 0.1), (1.0, 1.0))
         with pytest.raises(NumericalError):
-            TrainReport((-0.5,), (0.1,))
+            TrainReport((-0.5,), (0.1,), (1.0,))

@@ -27,6 +27,9 @@ from defex.warming import (
 )
 
 
+from helpers import mixed_sample_negatives
+
+
 def nearest(table, defs):
     """Top hit of the retrieval ranking for the planted vector ``table["t"]``;
     ``defs`` maps definition ids to keys of ``table``."""
@@ -224,6 +227,22 @@ class TestMixedSampler:
         with pytest.raises(ConfigurationError):
             mixed_negative_sampler(self.DEFS, {"missing"}, 2, 0.5)
 
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
+    def test_matches_filtered_list_reference(self, ratio):
+        """The same picks and the same generator state as building the
+        filtered pool lists on every draw: positives inside and outside the
+        strong pool and outside the inventory, and a strong pool that runs
+        dry so draws fall back to the full inventory."""
+        strong = {"d1", "d4", "d7", "d10"}
+        for n in (1, 3, 6):
+            sampler = mixed_negative_sampler(self.DEFS, strong, n, ratio)
+            for seed in range(25):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for positive in [*sorted(self.DEFS), "d99"]:
+                    want = mixed_sample_negatives(self.DEFS, strong, positive, n, ratio, ref_rng)
+                    assert sampler(positive, rng) == want
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_exhausted_inventory(self):
         defs = {"a": ("x",), "b": ("y",)}
         sampler = mixed_negative_sampler(defs, {"a"}, 2, 0.5)
@@ -311,7 +330,7 @@ class TestWarmWithGold:
             for _ in range(50):
                 for inst in instances:
                     drawn.extend((inst, neg) for neg in sampler(inst.definition_id, rng))
-            return TrainReport((0.0,), (0.0,))
+            return TrainReport((0.0,), (0.0,), (0.0,))
 
         monkeypatch.setattr(warming, "run_training_loop", drawing_loop)
         warm_with_gold(tiny_model.copy(), gold, docs, ontology, WarmConfig(), corpus.definitions)
